@@ -345,7 +345,7 @@ def _base_at_nu(config: KinematicConfig, settings: QuadratureSettings):
         return lambda mat: evaluate_unit(mat, N, settings).value
     if config.nu_total > 7:
         raise AssemblyLimit(f"augmented assembly needs nu <= 7, got {config.nu_total}")
-    return lambda mat: _duplicate_value(mat, config.powers, settings).value
+    return lambda mat: _integrable_duplicate_value(mat, config.powers, settings)
 
 
 def raise_dimension(config: KinematicConfig,
@@ -519,6 +519,19 @@ def _duplicate_value(sigma: np.ndarray, powers, settings: QuadratureSettings,
                          method=METHOD_QUADRATURE)
 
 
+def _integrable_duplicate_value(sigma: np.ndarray, powers,
+                                settings: QuadratureSettings) -> complex:
+    """``_duplicate_value`` as the integrand of an outer quadrature.
+
+    The regularized orthant sums cancel to a tiny fraction of their terms,
+    and the extrapolation amplifies the differences of what is left.  Each
+    inner integral adapts only to its own tolerance, so ask for a hundred
+    times more: looser values are too rough for the outer quadratures of the
+    shift routes, which then fail to converge.
+    """
+    return _duplicate_value(sigma, powers, settings.tighter(0.01)).value
+
+
 def raise_power_duplicate(config: KinematicConfig,
                           settings: QuadratureSettings = DEFAULT_SETTINGS) -> IntegralValue:
     """Raised powers as duplicated propagators: the value at n = nu with any
@@ -657,7 +670,7 @@ def _raised_power_inner(config: KinematicConfig, settings: QuadratureSettings,
     raised = [i for i, p in enumerate(powers) if p > 1]
 
     def by_duplicate(mat):
-        return _duplicate_value(mat, powers, inner_settings).value
+        return _integrable_duplicate_value(mat, powers, inner_settings)
 
     if route == "duplicate":
         return by_duplicate

@@ -28,7 +28,7 @@ from .quadrature import (
     IntegralValue,
     METHOD_QUADRATURE,
     QuadratureSettings,
-    adaptive_batch,
+    adaptive_rows,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -119,42 +119,46 @@ def conditioned_correlation(rho: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _default_anchors(rhos: np.ndarray) -> np.ndarray:
+    """Per matrix, the label with the largest total |rho| to its partners;
+    keeps the |rho_ip * u| factors farthest from the endpoint singularity."""
+    strength = np.abs(rhos).sum(axis=-1) - np.abs(np.diagonal(rhos, axis1=-2, axis2=-1))
+    return np.argmax(strength, axis=-1)
+
+
 def default_anchor(rho: np.ndarray) -> int:
-    """Label with the largest total |rho| to its partners; keeps the
-    |rho_ip * u| factors farthest from the endpoint singularity."""
-    s = np.sum(np.abs(rho), axis=1) - np.abs(np.diag(rho))
-    return int(np.argmax(s))
+    """The anchor label ``i_quad`` and ``i_hex`` pick when none is given."""
+    return int(_default_anchors(np.asarray(rho)))
 
 
-def _quartet_term_coeffs(rho: np.ndarray, i: int, p: int, q: int, r: int):
-    """Polynomial coefficients (in u**2) of the arcsine argument for anchor
-    i, partner p and denominators (q, r)."""
-    a_q = (1.0 - rho[p, q] ** 2,
-           2.0 * rho[i, p] * rho[i, q] * rho[p, q] - rho[i, p] ** 2 - rho[i, q] ** 2)
-    a_r = (1.0 - rho[p, r] ** 2,
-           2.0 * rho[i, p] * rho[i, r] * rho[p, r] - rho[i, p] ** 2 - rho[i, r] ** 2)
-    a_qr = (rho[q, r] - rho[p, q] * rho[p, r],
-            rho[i, p] * rho[i, q] * rho[p, r] + rho[i, p] * rho[i, r] * rho[p, q]
-            - rho[i, q] * rho[i, r] - rho[i, p] ** 2 * rho[q, r])
-    return a_q, a_r, a_qr
+def _other_labels(d: int, *excluded) -> np.ndarray:
+    """Labels 0..d-1 in ascending order without the excluded ones, per
+    entry of the (broadcasting) integer arrays ``excluded``; on a new last
+    axis."""
+    labels = np.arange(d)
+    hit = np.zeros(np.broadcast_shapes(*(np.shape(e) for e in excluded)) + (d,), dtype=bool)
+    for e in excluded:
+        hit |= labels == np.asarray(e)[..., None]
+    return np.argsort(hit, axis=-1, kind="stable")[..., :d - len(excluded)]
 
 
-def _check_real_degeneracy(rho: np.ndarray, i: int, partners) -> None:
-    for p in partners:
-        if abs(rho[i, p]) >= 1.0 - 1e-14:
-            raise DegenerateConditioning(f"|rho[{i},{p}]| too close to 1")
+# For each anchor of a 4x4 block: its three partners p, and per partner the
+# two remaining labels (q, r).
+_PARTNERS4 = _other_labels(4, np.arange(4))
+_REMAINING4 = _other_labels(4, np.arange(4)[:, None], _PARTNERS4)
 
 
-def _check_complex_degeneracy(rho: np.ndarray, i: int, partners) -> None:
-    # 1 - rho**2 u**2 vanishes at u = 1/rho; reject roots sitting on (0, 1).
-    for p in partners:
-        rp = complex(rho[i, p])
-        if rp == 0:
-            continue
-        z = 1.0 / rp
-        if abs(z.imag) < 1e-8 and 0.0 < z.real < 1.0 + 1e-8:
+def _check_anchor_pairs(rip: np.ndarray) -> None:
+    """Reject anchor/partner correlations for which 1 - rho**2 u**2 vanishes
+    on the unit interval (|rho| at 1 for real entries, a root 1/rho on
+    (0, 1] for complex ones)."""
+    if np.iscomplexobj(rip):
+        z = np.where(rip == 0, np.inf, 1.0 / np.where(rip == 0, 1.0, rip))
+        if np.any((np.abs(z.imag) < 1e-8) & (z.real > 0.0) & (z.real < 1.0 + 1e-8)):
             raise DegenerateConditioning(
-                f"1 - rho^2 u^2 vanishes on the unit interval for pair ({i},{p})")
+                "1 - rho^2 u^2 vanishes on the unit interval for an anchor pair")
+    elif np.any(np.abs(rip) >= 1.0 - 1e-14):
+        raise DegenerateConditioning("|rho| too close to 1 for the anchor leg")
 
 
 def quartet_batch(rhos: np.ndarray, settings: QuadratureSettings = DEFAULT_SETTINGS,
@@ -162,71 +166,58 @@ def quartet_batch(rhos: np.ndarray, settings: QuadratureSettings = DEFAULT_SETTI
     """Four-denominator integrals, normalized by pi**4, for a batch of
     correlation matrices.
 
-    ``rhos`` has shape (B, 4, 4).  Returns (values, errors) arrays of length
-    B.  The three partner terms of every matrix share one adaptive
-    refinement, which is what makes the shifted-mass contour evaluations
-    affordable; the coefficient setup is vectorized per anchor group.
+    ``rhos`` has shape (B, 4, 4).  Returns (values, errors, ok, nodes), one
+    entry per matrix.  Each matrix is one row of ``adaptive_rows``: the sum
+    of its three partner terms adapts on its own panels, and every step
+    evaluates the new nodes of all unconverged matrices together, which is
+    what makes the shifted-mass contour evaluations affordable.
     """
     rhos = np.asarray(rhos)
     B = rhos.shape[0]
     is_complex = np.iscomplexobj(rhos)
-    if anchors is None:
-        strength = np.abs(rhos).sum(axis=2) - np.abs(
-            np.diagonal(rhos, axis1=1, axis2=2))
-        anchors = np.argmax(strength, axis=1)
-    else:
-        anchors = np.asarray(anchors, dtype=int)
-    dtype = complex if is_complex else float
-    weights = np.empty((B, 3), dtype=dtype)
-    coeffs = np.empty((B, 3, 6), dtype=dtype)
-    for i in np.unique(anchors):
-        sel = np.nonzero(anchors == i)[0]
-        sub = rhos[sel]
-        partners = [a for a in range(4) if a != i]
-        rip_all = sub[:, i, partners]
-        if is_complex:
-            z = np.where(rip_all == 0, np.inf, 1.0 / rip_all)
-            bad = (np.abs(z.imag) < 1e-8) & (z.real > 0.0) & (z.real < 1.0 + 1e-8)
-            if np.any(bad):
-                raise DegenerateConditioning(
-                    "1 - rho^2 u^2 vanishes on the unit interval for an anchor pair")
-        elif np.any(np.abs(rip_all) >= 1.0 - 1e-14):
-            raise DegenerateConditioning("|rho| too close to 1 for the anchor leg")
-        for t, p in enumerate(partners):
-            q, r = [a for a in partners if a != p]
-            rp = sub[:, i, p]
-            rq = sub[:, i, q]
-            rr = sub[:, i, r]
-            pq = sub[:, p, q]
-            pr = sub[:, p, r]
-            qr = sub[:, q, r]
-            weights[sel, t] = rp
-            coeffs[sel, t, 0] = 1.0 - pq ** 2
-            coeffs[sel, t, 1] = 2.0 * rp * rq * pq - rp ** 2 - rq ** 2
-            coeffs[sel, t, 2] = 1.0 - pr ** 2
-            coeffs[sel, t, 3] = 2.0 * rp * rr * pr - rp ** 2 - rr ** 2
-            coeffs[sel, t, 4] = qr - pq * pr
-            coeffs[sel, t, 5] = rp * rq * pr + rp * rr * pq - rq * rr - rp ** 2 * qr
+    anchors = _default_anchors(rhos) if anchors is None else np.asarray(anchors, dtype=int)
+    b = np.arange(B)[:, None]
+    i = anchors[:, None]
+    p = _PARTNERS4[anchors]                                       # (B, 3)
+    q, r = np.moveaxis(_REMAINING4[anchors], -1, 0)              # (B, 3) each
+    rp, rq, rr = rhos[b, i, p], rhos[b, i, q], rhos[b, i, r]
+    pq, pr, qr = rhos[b, p, q], rhos[b, p, r], rhos[b, q, r]
+    _check_anchor_pairs(rp)
+    weights = rp
+    coeffs = np.stack([1.0 - pq ** 2,
+                       2.0 * rp * rq * pq - rp ** 2 - rq ** 2,
+                       1.0 - pr ** 2,
+                       2.0 * rp * rr * pr - rp ** 2 - rr ** 2,
+                       qr - pq * pr,
+                       rp * rq * pr + rp * rr * pq - rq * rr - rp ** 2 * qr], axis=-1)
 
-    def integrand(u):
+    def integrand(u, rows):
+        u = u[:, None, :]
         u2 = u * u
-        aq = coeffs[:, :, 0, None] + coeffs[:, :, 1, None] * u2
-        ar = coeffs[:, :, 2, None] + coeffs[:, :, 3, None] * u2
-        aqr = coeffs[:, :, 4, None] + coeffs[:, :, 5, None] * u2
+        c = coeffs[rows][..., None]
+        w = weights[rows][..., None]
+        aq = c[:, :, 0] + c[:, :, 1] * u2
+        ar = c[:, :, 2] + c[:, :, 3] * u2
+        aqr = c[:, :, 4] + c[:, :, 5] * u2
         arg = aqr / np.sqrt(aq * ar)
         if not is_complex:
             arg = np.clip(arg, -1.0, 1.0)
         asin = np.arcsin(arg)
-        return weights[:, :, None] * asin / np.sqrt(1.0 - (weights[:, :, None] * u) ** 2)
+        return (w * asin / np.sqrt(1.0 - (w * u) ** 2)).sum(axis=1)
 
-    vals, errs, ok, _ = adaptive_batch(integrand, 0.0, 1.0, settings.rel_tol,
-                                       settings.abs_tol, settings.max_subdivisions)
+    vals, errs, ok, nodes = adaptive_rows(integrand, 0.0, 1.0, B, settings.rel_tol,
+                                          settings.abs_tol, settings.max_subdivisions)
     scale = 4.0 / math.pi ** 2
-    values = scale * vals.sum(axis=1)
-    errors = scale * errs.sum(axis=1)
+    values = scale * vals
     if not is_complex:
         values = np.real(values)
-    return values, errors, ok
+    return values, scale * errs, ok, nodes
+
+
+def _integral_value(values, errors, ok) -> IntegralValue:
+    return IntegralValue(value=complex(values[0]), abs_error=float(errors[0]),
+                         method=METHOD_QUADRATURE, converged=bool(ok[0]),
+                         flags=() if ok[0] else ("non_converged",))
 
 
 def i_quad(rho: np.ndarray, settings: QuadratureSettings = DEFAULT_SETTINGS,
@@ -241,10 +232,32 @@ def i_quad(rho: np.ndarray, settings: QuadratureSettings = DEFAULT_SETTINGS,
     if rho.shape != (4, 4):
         raise ValueError(f"need a 4x4 matrix, got {rho.shape}")
     anchors = None if anchor is None else [anchor]
-    values, errors, ok = quartet_batch(rho[None, :, :], settings, anchors)
-    return IntegralValue(value=complex(values[0]), abs_error=float(errors[0]),
-                         method=METHOD_QUADRATURE, converged=bool(ok),
-                         flags=() if ok else ("non_converged",))
+    return _integral_value(*quartet_batch(rho[None, :, :], settings, anchors)[:3])
+
+
+def _rho_tilde_stack(rhos: np.ndarray, anchors: np.ndarray, partners: np.ndarray,
+                     u: np.ndarray) -> np.ndarray:
+    """``rho_tilde`` for a stack: ``rhos`` (B, d, d), ``anchors`` (B,),
+    ``partners`` (B, P) and nodes ``u`` (B, k); returns (B, P, k, d-2, d-2)."""
+    d = rhos.shape[-1]
+    if np.any(partners == anchors[:, None]):
+        raise ValueError("anchor and partner must differ")
+    b = np.arange(len(rhos))[:, None, None]
+    i = anchors[:, None, None]
+    rest = _other_labels(d, anchors[:, None], partners)           # (B, P, d-2)
+    sub = rhos[b[..., None], rest[..., :, None], rest[..., None, :]]
+    ri = rhos[b, rest, i]
+    rj = rhos[b, rest, partners[..., None]]
+    rij = rhos[b[..., 0], i[..., 0], partners]                    # (B, P)
+    u2 = (u * u)[:, None, :]                                      # (B, 1, k)
+    den = 1.0 - rij[..., None] ** 2 * u2                          # (B, P, k)
+    if np.min(np.abs(den), initial=np.inf) < 1e-14:
+        raise DegenerateConditioning("1 - rho_ij^2 u^2 vanished for an anchor pair")
+    ri = ri[:, :, None, :]
+    g = rj[:, :, None, :] - rij[..., None, None] * ri * u2[..., None]
+    out = sub[:, :, None] - ri[..., :, None] * ri[..., None, :] * u2[..., None, None]
+    out -= g[..., :, None] * g[..., None, :] / den[..., None, None]
+    return out
 
 
 def rho_tilde(rho: np.ndarray, anchor: int, partner: int, u) -> np.ndarray:
@@ -255,24 +268,10 @@ def rho_tilde(rho: np.ndarray, anchor: int, partner: int, u) -> np.ndarray:
     Vectorized over u: returns shape (4, 4) for scalar u, else (len(u), 4, 4).
     """
     rho = _as_rho(rho)
-    i, j = anchor, partner
-    if i == j:
-        raise ValueError("anchor and partner must differ")
     u = np.asarray(u)
-    scalar = u.ndim == 0
-    u2 = np.atleast_1d(u) ** 2
-    rest = [a for a in range(rho.shape[0]) if a not in (i, j)]
-    sub = rho[np.ix_(rest, rest)]
-    ri = rho[rest, i]
-    rj = rho[rest, j]
-    den = 1.0 - rho[i, j] ** 2 * u2
-    if np.min(np.abs(den)) < 1e-14:
-        raise DegenerateConditioning(f"1 - rho_ij^2 u^2 vanished for pair ({i},{j})")
-    g = rj[None, :] - rho[i, j] * ri[None, :] * u2[:, None]
-    out = (sub[None, :, :]
-           - ri[None, :, None] * ri[None, None, :] * u2[:, None, None]
-           - g[:, :, None] * g[:, None, :] / den[:, None, None])
-    return out[0] if scalar else out
+    out = _rho_tilde_stack(rho[None], np.array([anchor]), np.array([[partner]]),
+                           np.atleast_1d(u)[None])[0, 0]
+    return out[0] if u.ndim == 0 else out
 
 
 def normalize_coefficient_matrix(m: np.ndarray) -> np.ndarray:
@@ -284,46 +283,72 @@ def normalize_coefficient_matrix(m: np.ndarray) -> np.ndarray:
     return m / (d[..., :, None] * d[..., None, :])
 
 
+def i_hex_batch(rhos: np.ndarray, settings: QuadratureSettings = DEFAULT_SETTINGS,
+                anchors=None):
+    """Six-denominator integrals divided by pi**6 for a stack of 6x6
+    correlation matrices.
+
+    Per matrix, an outer integral over u of five partner terms, each a
+    four-denominator evaluation on the conditioned coefficient matrix.  The
+    outer integrals are the rows of one ``adaptive_rows`` run; the inner
+    quartets of all new outer nodes of a step go to one ``quartet_batch``
+    call at a ten times tighter tolerance.  Returns (values, errors, ok,
+    nodes), one entry per matrix; the error and ``ok`` account for the inner
+    quartets too, and ``nodes`` counts inner and outer nodes.
+    """
+    rhos = np.asarray(rhos)
+    if rhos.shape[1:] != (6, 6):
+        raise ValueError(f"need a stack of 6x6 matrices, got {rhos.shape}")
+    B = rhos.shape[0]
+    is_complex = np.iscomplexobj(rhos)
+    anchors = _default_anchors(rhos) if anchors is None else np.asarray(anchors, dtype=int)
+    partners = _other_labels(6, anchors)                          # (B, 5)
+    w = rhos[np.arange(B)[:, None], anchors[:, None], partners]   # (B, 5)
+    _check_anchor_pairs(w)
+    inner_settings = settings.tighter(0.1)
+    inner_ok = np.ones(B, dtype=bool)
+    inner_nodes = np.zeros(B, dtype=int)
+    # Per (matrix, partner): the largest inner error and partner weight
+    # |w / sqrt(1 - w**2 u**2)| met at any outer node.
+    inner_err = np.zeros((B, 5))
+    weight_max = np.zeros((B, 5))
+
+    def integrand(u, rows):
+        n, k = u.shape
+        mats = normalize_coefficient_matrix(
+            _rho_tilde_stack(rhos[rows], anchors[rows], partners[rows], u))
+        qv, qe, qok, qnodes = quartet_batch(mats.reshape(-1, 4, 4), inner_settings)
+        inner_ok[rows] &= qok.reshape(n, -1).all(axis=1)
+        inner_nodes[rows] += qnodes.reshape(n, -1).sum(axis=1)
+        inner_err[rows] = np.maximum(inner_err[rows], qe.reshape(n, 5, k).max(axis=2))
+        wr = w[rows][..., None]
+        weight = wr / np.sqrt(1.0 - (wr * u[:, None, :]) ** 2)
+        weight_max[rows] = np.maximum(weight_max[rows], np.abs(weight).max(axis=2))
+        return (weight * qv.reshape(n, 5, k)).sum(axis=1)
+
+    vals, errs, ok, nodes = adaptive_rows(integrand, 0.0, 1.0, B, settings.rel_tol,
+                                          settings.abs_tol, settings.max_subdivisions)
+    # The inner errors enter the outer integral through the partner weights,
+    # whose integral over the unit interval is at most their largest value
+    # and, for |w| < 1, at most arcsin|w| (as |1 - w**2 u**2| >= 1 - |w|**2 u**2).
+    aw = np.abs(w)
+    weight_integral = np.where(aw < 1.0, np.arcsin(np.minimum(aw, 1.0)), np.inf)
+    inner = (inner_err * np.minimum(weight_max, weight_integral)).sum(axis=1)
+    values = -(2.0 / math.pi) * vals
+    if not is_complex:
+        values = np.real(values)
+    return values, (2.0 / math.pi) * (errs + inner), ok & inner_ok, nodes + inner_nodes
+
+
 def i_hex(rho: np.ndarray, settings: QuadratureSettings = DEFAULT_SETTINGS,
           anchor: int | None = None) -> IntegralValue:
-    """Six-denominator Gaussian integral divided by pi**6.
-
-    Outer integral over u of five partner terms, each a four-denominator
-    evaluation on the conditioned coefficient matrix; fifteen double
-    integrals in total.
-    """
+    """Six-denominator Gaussian integral divided by pi**6: ``i_hex_batch``
+    for one matrix."""
     rho = _as_rho(rho)
     if rho.shape != (6, 6):
         raise ValueError(f"need a 6x6 matrix, got {rho.shape}")
-    is_complex = np.iscomplexobj(rho)
-    i = default_anchor(rho) if anchor is None else int(anchor)
-    partners = [a for a in range(6) if a != i]
-    if is_complex:
-        _check_complex_degeneracy(rho, i, partners)
-    else:
-        _check_real_degeneracy(rho, i, partners)
-    inner_settings = settings.tighter(0.1)
-
-    def integrand(u):
-        nu = len(u)
-        mats = np.empty((5, nu, 4, 4), dtype=complex if is_complex else float)
-        for t, r in enumerate(partners):
-            mats[t] = normalize_coefficient_matrix(rho_tilde(rho, i, r, u))
-        flat = mats.reshape(5 * nu, 4, 4)
-        inner_vals, _, _ = quartet_batch(flat, inner_settings)
-        inner_vals = inner_vals.reshape(5, nu)
-        w = np.array([rho[i, r] for r in partners])
-        return w[:, None] * inner_vals / np.sqrt(1.0 - (w[:, None] * u[None, :]) ** 2)
-
-    vals, errs, ok, _ = adaptive_batch(integrand, 0.0, 1.0, settings.rel_tol,
-                                       settings.abs_tol, settings.max_subdivisions)
-    value = -(2.0 / math.pi) * vals.sum()
-    error = (2.0 / math.pi) * errs.sum()
-    if not is_complex:
-        value = np.real(value)
-    return IntegralValue(value=complex(value), abs_error=float(error),
-                         method=METHOD_QUADRATURE, converged=bool(ok),
-                         flags=() if ok else ("non_converged",))
+    anchors = None if anchor is None else [anchor]
+    return _integral_value(*i_hex_batch(rho[None, :, :], settings, anchors)[:3])
 
 
 def homotopy_continuity_check(rho_complex: np.ndarray, evaluator, steps: int = 8,

@@ -204,12 +204,3 @@ def correlation_data(sigma: SigmaMatrix | np.ndarray, strict: bool = True) -> Co
     cof = np.real(cofactor_matrix(entries))
     return CorrelationData(r_matrix=r, rho=rho, cofactors=cof,
                            det_sigma=d, d_reduced=d / diag_prod)
-
-
-def correlation_from_inverse(r: np.ndarray) -> np.ndarray:
-    """Unit-diagonal correlation matrix of a (possibly complex) inverse."""
-    dd = np.sqrt(np.diag(r).astype(complex) if np.iscomplexobj(r) else np.diag(r))
-    rho = r / np.outer(dd, dd)
-    if not np.iscomplexobj(rho):
-        np.fill_diagonal(rho, 1.0)
-    return rho

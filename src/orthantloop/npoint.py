@@ -26,12 +26,14 @@ in a few places); the oracle tests pin every one of them.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import combinations
+from typing import Any
 
 import numpy as np
 
 from .errors import SingularMatrix
-from .gaussint import conditioned_correlation, i_hex, quartet_batch
+from .gaussint import conditioned_correlation, i_hex_batch, quartet_batch
 from .kinematics import KinematicConfig, build_sigma
 from .matrixops import correlation_data
 from .quadrature import (
@@ -41,83 +43,76 @@ from .quadrature import (
     METHOD_QUADRATURE,
     QuadratureSettings,
 )
-from .util import parallel_map
 
 
-def orthant_bracket(rho: np.ndarray, settings: QuadratureSettings = DEFAULT_SETTINGS):
-    """2**d times the orthant probability of a d-variate correlation matrix,
-    d <= 7, as the exact finite expansion. Returns (value, abs_error)."""
-    d = rho.shape[0]
-    is_complex = np.iscomplexobj(rho)
-    value = complex(1.0) if is_complex else 1.0
-    error = 0.0
-    if d >= 2:
-        pairs = [rho[i, j] for i, j in combinations(range(d), 2)]
-        value = value + (2.0 / math.pi) * np.sum(np.arcsin(np.asarray(pairs)))
-    if d >= 4:
-        subsets = list(combinations(range(d), 4))
-        mats = np.stack([rho[np.ix_(s, s)] for s in subsets])
-        vals, errs, _ = quartet_batch(mats, settings)
-        value = value + vals.sum()
-        error += float(errs.sum())
-    if d >= 6:
-        subsets6 = list(combinations(range(d), 6))
-        results = parallel_map(
-            lambda s: i_hex(rho[np.ix_(s, s)], settings), subsets6)
-        for r in results:
-            value = value - r.value if is_complex else value - r.value.real
-            error += r.abs_error
-    if d >= 8:
-        raise ValueError("orthant expansion implemented for up to 7 variables")
-    return value, error
+@dataclass(frozen=True)
+class OrthantProbability:
+    """Orthant probabilities (scalars, or arrays over a stack) with their
+    absolute errors and whether every inner quadrature converged.  Unpacks
+    as the pair (value, abs_error)."""
+
+    value: Any
+    abs_error: Any
+    converged: Any
+
+    def __iter__(self):
+        return iter((self.value, self.abs_error))
 
 
-def orthant_probability(rho: np.ndarray, settings: QuadratureSettings = DEFAULT_SETTINGS):
-    """Probability that a zero-mean Gaussian vector with this correlation
-    matrix is positive in every component. Returns (value, abs_error)."""
-    d = rho.shape[0]
-    if d == 0:
-        return 1.0, 0.0
-    if d == 1:
-        return 0.5, 0.0
-    value, error = orthant_bracket(rho, settings)
-    return value / 2.0 ** d, error / 2.0 ** d
+def orthant_probability_batch(rhos: np.ndarray,
+                              settings: QuadratureSettings = DEFAULT_SETTINGS
+                              ) -> OrthantProbability:
+    """Probabilities that zero-mean Gaussian vectors with these d x d
+    correlation matrices (d <= 7) are positive in every component.
 
-
-def orthant_probability_batch(rhos: np.ndarray, settings: QuadratureSettings = DEFAULT_SETTINGS):
-    """Orthant probabilities for a stack of correlation matrices, sharing
-    the four-denominator quadrature across the whole batch.  This is the
-    hot path of the shifted-mass contour integrands."""
+    2**d times the probability is the exact finite expansion {1, arcsine
+    pairs, four-denominator integrals, six-denominator integrals}.  Every
+    (matrix, subset) quartet of the stack goes to one ``quartet_batch`` call
+    and every (matrix, 6-subset) pair to one ``i_hex_batch`` call; each
+    integral still adapts on its own.  The error is floored at machine
+    epsilon times the summed magnitudes of the expansion's terms, the
+    rounding of the sum itself.
+    """
     rhos = np.asarray(rhos)
     B, d = rhos.shape[0], rhos.shape[1]
+    if d >= 8:
+        raise ValueError("orthant expansion implemented for up to 7 variables")
     is_complex = np.iscomplexobj(rhos)
     vals = np.ones(B, dtype=complex if is_complex else float)
+    magnitude = np.ones(B)
     errs = np.zeros(B)
+    ok = np.ones(B, dtype=bool)
     if d >= 2:
         iu = np.triu_indices(d, 1)
-        vals = vals + (2.0 / math.pi) * np.arcsin(rhos[:, iu[0], iu[1]]).sum(axis=1)
-    if d >= 4:
-        subsets = np.array(list(combinations(range(d), 4)))
-        n4 = len(subsets)
-        mats = rhos[:, subsets[:, :, None], subsets[:, None, :]].reshape(B * n4, 4, 4)
-        qv, qe, _ = quartet_batch(mats, settings)
-        vals = vals + qv.reshape(B, n4).sum(axis=1)
-        errs = errs + qe.reshape(B, n4).sum(axis=1)
-    if d >= 6:
-        for b in range(B):
-            for s in combinations(range(d), 6):
-                r = i_hex(rhos[b][np.ix_(s, s)], settings)
-                vals[b] = vals[b] - (r.value if is_complex else r.value.real)
-                errs[b] += r.abs_error
-    return vals / 2.0 ** d, errs / 2.0 ** d
+        asin = np.arcsin(rhos[:, iu[0], iu[1]])
+        vals = vals + (2.0 / math.pi) * asin.sum(axis=1)
+        magnitude += (2.0 / math.pi) * np.abs(asin).sum(axis=1)
+    for size, integrals, sign in ((4, quartet_batch, 1.0), (6, i_hex_batch, -1.0)):
+        if d < size:
+            break
+        subsets = np.array(list(combinations(range(d), size)))
+        mats = rhos[:, subsets[:, :, None], subsets[:, None, :]].reshape(-1, size, size)
+        v, e, o, _ = integrals(mats, settings)
+        v, e, o = v.reshape(B, -1), e.reshape(B, -1), o.reshape(B, -1)
+        vals = vals + sign * v.sum(axis=1)
+        magnitude += np.abs(v).sum(axis=1)
+        errs += e.sum(axis=1)
+        ok &= o.all(axis=1)
+    errs = np.maximum(errs, np.finfo(float).eps * magnitude)
+    return OrthantProbability(vals / 2.0 ** d, errs / 2.0 ** d, ok)
 
 
-def unit_value_from_parts(rho: np.ndarray, inv_sqrt_det, N: int,
-                          settings: QuadratureSettings = DEFAULT_SETTINGS) -> complex:
-    """(-1)**N * 2 * pi**(N/2) * P0(rho) * inv_sqrt_det; the building block
-    shared by the real evaluators and the complex contour integrands."""
-    p0, _ = orthant_probability(rho, settings)
-    return (-1.0) ** N * 2.0 * math.pi ** (0.5 * N) * p0 * inv_sqrt_det
+def orthant_probability(rho: np.ndarray,
+                        settings: QuadratureSettings = DEFAULT_SETTINGS
+                        ) -> OrthantProbability:
+    """Probability that a zero-mean Gaussian vector with this correlation
+    matrix is positive in every component: the batch of one."""
+    out = orthant_probability_batch(np.asarray(rho)[None], settings)
+    return OrthantProbability(out.value[0], out.abs_error[0], bool(out.converged[0]))
+
+
+def _inner_convergence(ok: bool) -> dict:
+    return {"converged": bool(ok), "flags": () if ok else ("inner_non_converged",)}
 
 
 def _real_parts(sigma: np.ndarray, strict: bool = True):
@@ -138,11 +133,12 @@ def evaluate_unit(sigma: np.ndarray, n: float,
         return two_point_angle_form(sigma)
     if n == N:
         data, isd = _real_parts(sigma, strict)
-        p0, perr = orthant_probability(data.rho, settings)
+        p0 = orthant_probability(data.rho, settings)
         pref = (-1.0) ** N * 2.0 * math.pi ** (0.5 * N) * isd
         method = METHOD_CLOSED_FORM if N <= 3 else METHOD_QUADRATURE
-        return IntegralValue(value=complex(pref * p0), abs_error=abs(pref) * perr,
-                             method=method)
+        return IntegralValue(value=complex(pref * p0.value),
+                             abs_error=float(abs(pref) * p0.abs_error),
+                             method=method, **_inner_convergence(p0.converged))
     if n == N - 1:
         return rowsum_value(sigma, settings, strict=strict)
     raise ValueError(f"no direct assembly for N={N}, n={n}; use the dimension shifts")
@@ -150,24 +146,29 @@ def evaluate_unit(sigma: np.ndarray, n: float,
 
 def rowsum_value(sigma: np.ndarray, settings: QuadratureSettings = DEFAULT_SETTINGS,
                  strict: bool = True) -> IntegralValue:
-    """Unit powers at n = N - 1: row-sum weighted conditioned orthants."""
+    """Unit powers at n = N - 1: row-sum weighted conditioned orthants.
+
+    The N conditioned orthants are one batch; their roundoff floors carry
+    over to the weighted sum, so even the closed forms (N <= 4) report a
+    nonzero error.
+    """
     sigma = np.asarray(sigma)
     N = sigma.shape[0]
     data, isd = _real_parts(sigma, strict)
     r = data.r_matrix
     rho = data.rho
+    p0 = orthant_probability_batch(
+        np.stack([conditioned_correlation(rho, k) for k in range(N)]), settings)
     total = 0.0
     err = 0.0
     for k in range(N):
-        rs = float(r[k].sum())
-        p0, perr = orthant_probability(conditioned_correlation(rho, k), settings)
-        w = rs / math.sqrt(r[k, k])
-        total += w * p0
-        err += abs(w) * perr
+        w = float(r[k].sum()) / math.sqrt(r[k, k])
+        total += w * p0.value[k]
+        err += abs(w) * p0.abs_error[k]
     pref = (-1.0) ** N * math.pi ** (0.5 * (N - 1)) * isd
     method = METHOD_CLOSED_FORM if N <= 4 else METHOD_QUADRATURE
-    return IntegralValue(value=complex(pref * total), abs_error=abs(pref) * err,
-                         method=method)
+    return IntegralValue(value=complex(pref * total), abs_error=float(abs(pref) * err),
+                         method=method, **_inner_convergence(np.all(p0.converged)))
 
 
 def two_point_angle_form(sigma: np.ndarray) -> IntegralValue:

@@ -1,12 +1,24 @@
 """Deterministic integration engines.
 
-One adaptive Gauss-Kronrod core drives everything: it accepts vector-valued
-(complex) integrands evaluated on arrays of nodes, so a caller can integrate
-a whole family of related integrands on a shared refinement.  On top of it
-sit the unit-interval rule (with an optional sine substitution for
-arcsine-type endpoint weights), the half-line rule through a rational or
-exponential map, and a truncated vertical-contour rule for inverse Laplace
-transforms with adaptive height doubling and a measured-ratio tail estimate.
+One Gauss-Kronrod panel rule and error estimate drive two globally adaptive
+bisection schemes, both vectorized over arrays of (complex) nodes:
+
+* shared refinement (``adaptive_batch``): the components of one
+  vector-valued integrand share every panel, and the panel with the worst
+  error in any component is split next.  This suits components that need
+  the same resolution anyway: the contour, half-line and epsilon integrands.
+* per-row refinement (``adaptive_rows``): a stack of independent scalar
+  integrals (one per matrix) each keeps its own panels, error total and
+  subdivision count, as QUADPACK's global adaptivity does for one integral,
+  while every step evaluates the new nodes of all unconverged rows in one
+  call.  A shared refinement would split every matrix wherever the hardest
+  one needs it; per row, an easy matrix stops as soon as it has converged.
+
+On top of them sit the unit-interval rule (with an optional sine
+substitution for arcsine-type endpoint weights), the half-line rule through
+a rational or exponential map, and a truncated vertical-contour rule for
+inverse Laplace transforms with adaptive height doubling and a
+measured-ratio tail estimate.
 """
 
 from __future__ import annotations
@@ -95,34 +107,66 @@ class QuadratureSettings:
 
 DEFAULT_SETTINGS = QuadratureSettings()
 
+# Most nodes (rows times nodes per row) that ``adaptive_rows`` hands to one
+# integrand call; bounds the integrand's working set on large stacks.
+CALL_NODES = 2048
 
-def _gk_panel(f, a: float, b: float):
-    """One Gauss-Kronrod pass over [a, b] for a vector-valued integrand.
 
-    Returns (kronrod, error, neval); the error estimate follows the usual
-    practice of sharpening the raw Gauss/Kronrod difference against the
-    total variation so smooth panels are not absurdly over-refined.
+def _gk_nodes(a, b):
+    """Kronrod nodes on the panels [a, b] and their half-widths.
+
+    ``a`` and ``b`` are panel ends, scalars or arrays of one shape; the nodes
+    gain a trailing axis of 15.
     """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    x = mid + half * GK_NODES
+    x = mid[..., None] + half[..., None] * GK_NODES
     # Keep nodes strictly interior: float rounding on very narrow panels can
     # land a node exactly on a singular endpoint.
-    lo, hi = (a, b) if b > a else (b, a)
-    x = np.clip(x, np.nextafter(lo, hi), np.nextafter(hi, lo))
-    y = np.asarray(f(x))
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    x = np.clip(x, np.nextafter(lo, hi)[..., None], np.nextafter(hi, lo)[..., None])
+    return x, half
+
+
+def _gk_estimate(y, half):
+    """Kronrod values and error estimates of panels from their node values.
+
+    ``y`` carries the 15 node values on its last axis and ``half`` (the
+    half-widths) broadcasts against the other axes.  The error estimate
+    follows the usual practice of sharpening the raw Gauss/Kronrod difference
+    against the total variation so smooth panels are not absurdly
+    over-refined.
+    """
     if not np.all(np.isfinite(y)):
-        raise NonConvergence(f"integrand returned non-finite values on [{a}, {b}]")
+        raise NonConvergence("integrand returned non-finite values")
     ik = half * (y @ GK_WEIGHTS)
     ig = half * (y @ G_WEIGHTS)
     diff = np.abs(ik - ig)
-    mean = ik / (b - a)
-    resasc = abs(half) * (np.abs(y - mean[..., None]) @ GK_WEIGHTS)
+    mean = ik / (2.0 * half)
+    resasc = np.abs(half) * (np.abs(y - mean[..., None]) @ GK_WEIGHTS)
     err = np.where(
         resasc > 0.0,
         resasc * np.minimum(1.0, (200.0 * diff / np.where(resasc > 0, resasc, 1.0)) ** 1.5),
         diff,
     )
+    return ik, err
+
+
+def _roundoff_floor(total, err):
+    """Never report an integral as known better than machine precision."""
+    return np.maximum(err, 5e-16 * np.abs(total))
+
+
+def _gk_panel(f, a: float, b: float):
+    """One Gauss-Kronrod pass over [a, b] for a vector-valued integrand.
+
+    Returns (kronrod, error, neval).
+    """
+    x, half = _gk_nodes(a, b)
+    ik, err = _gk_estimate(np.asarray(f(x)), half)
     return ik, err, 15
 
 
@@ -132,7 +176,9 @@ def adaptive_batch(f, a: float, b: float, rel_tol: float, abs_tol: float,
 
     ``f`` maps an array of nodes to an array shaped (..., n_nodes).  Returns
     (value, error, converged, neval) with value/error shaped like one
-    integrand evaluation without the node axis.
+    integrand evaluation without the node axis.  All components share one
+    refinement: the panel with the largest error in any component is split
+    next, and the result converges only when every component does.
     """
     ik, err, neval = _gk_panel(f, a, b)
     counter = 0
@@ -143,11 +189,9 @@ def adaptive_batch(f, a: float, b: float, rel_tol: float, abs_tol: float,
     while True:
         bound = np.maximum(abs_tol, rel_tol * np.abs(total))
         if np.all(total_err <= bound):
-            # Floor the estimate at roundoff so it never reports better than
-            # machine precision.
-            return total, np.maximum(total_err, 5e-16 * np.abs(total)), True, neval
+            return total, _roundoff_floor(total, total_err), True, neval
         if n_split >= max_subdivisions or not heap:
-            return total, np.maximum(total_err, 5e-16 * np.abs(total)), False, neval
+            return total, _roundoff_floor(total, total_err), False, neval
         _, _, pa, pb, pik, perr = heapq.heappop(heap)
         pm = 0.5 * (pa + pb)
         if pm <= pa or pm >= pb:   # interval exhausted at machine precision
@@ -162,6 +206,89 @@ def adaptive_batch(f, a: float, b: float, rel_tol: float, abs_tol: float,
         heapq.heappush(heap, (-float(np.max(lerr)), counter, pa, pm, lik, lerr))
         counter += 1
         heapq.heappush(heap, (-float(np.max(rerr)), counter, pm, pb, rik, rerr))
+
+
+def adaptive_rows(f, a: float, b: float, n_rows: int, rel_tol: float, abs_tol: float,
+                  max_subdivisions: int = 2000):
+    """Globally adaptive bisection on [a, b] for ``n_rows`` scalar integrands
+    that refine independently of each other.
+
+    ``f(x, rows)`` receives nodes ``x`` shaped (len(rows), k) for the row
+    indices ``rows`` and returns the integrand values in the same shape.
+    Every row keeps its own panels, error total and subdivision count, with
+    the same strategy, error estimate and roundoff floor as
+    ``adaptive_batch``: a step splits the worst panel of every unconverged
+    row and evaluates the 30 new nodes of all of them together, in calls of
+    at most ``CALL_NODES`` nodes.  So a row's result does not depend on
+    which other rows share the stack.  Returns (value, error, converged,
+    neval), one entry per row.
+    """
+    rows = np.arange(n_rows)
+    ik, err = _gk_rows(f, np.full((n_rows, 1), float(a)), np.full((n_rows, 1), float(b)), rows)
+    value = np.zeros(n_rows, dtype=ik.dtype)
+    error = np.zeros(n_rows)
+    converged = np.zeros(n_rows, dtype=bool)
+    splits = np.zeros(n_rows, dtype=int)
+    # Working state of the rows still refining, one panel per column; slots
+    # beyond a row's panel count and panels exhausted at machine precision
+    # carry error -inf, so they are never picked for splitting.
+    total, total_err, n_split = ik[:, 0].copy(), err[:, 0].copy(), splits.copy()
+    lo, hi = np.full((n_rows, 8), float(a)), np.full((n_rows, 8), float(b))
+    pval = np.zeros((n_rows, 8), dtype=ik.dtype)
+    perr = np.full((n_rows, 8), -np.inf)
+    pval[:, 0], perr[:, 0] = total, total_err
+    while len(rows):
+        ok = total_err <= np.maximum(abs_tol, rel_tol * np.abs(total))
+        k = np.argmax(perr, axis=1)
+        at = np.arange(len(rows))
+        stop = ok | (n_split >= max_subdivisions) | (perr[at, k] == -np.inf)
+        if np.any(stop):
+            done = rows[stop]
+            value[done] = total[stop]
+            error[done] = _roundoff_floor(total[stop], total_err[stop])
+            converged[done] = ok[stop]
+            splits[done] = n_split[stop]
+            if np.all(stop):
+                break
+            keep = ~stop
+            rows, total, total_err, n_split, lo, hi, pval, perr, k = (
+                v[keep] for v in (rows, total, total_err, n_split, lo, hi, pval, perr, k))
+            at = np.arange(len(rows))
+        pa, pb = lo[at, k], hi[at, k]
+        pm = 0.5 * (pa + pb)
+        exhausted = (pm <= pa) | (pm >= pb)
+        if np.any(exhausted):
+            perr[at[exhausted], k[exhausted]] = -np.inf
+            at, k, pa, pm, pb = (v[~exhausted] for v in (at, k, pa, pm, pb))
+        if not len(at):
+            continue
+        ik, err = _gk_rows(f, np.stack([pa, pm], axis=1), np.stack([pm, pb], axis=1), rows[at])
+        total[at] = total[at] - pval[at, k] + ik[:, 0] + ik[:, 1]
+        total_err[at] = total_err[at] - perr[at, k] + err[:, 0] + err[:, 1]
+        n_split[at] += 1
+        if np.max(n_split[at]) >= lo.shape[1]:
+            lo, hi, pval = (np.concatenate([v, v], axis=1) for v in (lo, hi, pval))
+            perr = np.concatenate([perr, np.full_like(perr, -np.inf)], axis=1)
+        new = n_split[at]
+        hi[at, k], pval[at, k], perr[at, k] = pm, ik[:, 0], err[:, 0]
+        lo[at, new], hi[at, new], pval[at, new], perr[at, new] = pm, pb, ik[:, 1], err[:, 1]
+    return value, error, converged, 15 + 30 * splits
+
+
+def _gk_rows(f, lo, hi, rows):
+    """Kronrod values and errors of the panels [lo, hi], shaped (len(rows),
+    panels), calling ``f(x, rows)`` on at most ``CALL_NODES`` nodes at a
+    time."""
+    n, p = lo.shape
+    step = max(1, CALL_NODES // (15 * p))
+    parts = []
+    for i in range(0, n, step):
+        x, half = _gk_nodes(lo[i:i + step], hi[i:i + step])
+        y = np.asarray(f(x.reshape(len(x), 15 * p), rows[i:i + step]))
+        parts.append(_gk_estimate(y.reshape(x.shape), half))
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(q) for q in zip(*parts))
 
 
 def _scalar_result(value, err, converged, method=METHOD_QUADRATURE) -> IntegralValue:

@@ -11,16 +11,18 @@ from orthantloop.gaussint import (
     default_anchor,
     homotopy_continuity_check,
     i_hex,
+    i_hex_batch,
     i_pair,
     i_pair_conditional,
     i_quad,
     i_single,
     normalize_coefficient_matrix,
     partial_correlation,
+    quartet_batch,
     rho_tilde,
 )
 from orthantloop.oracle import MCSettings, orthant_mc
-from orthantloop.quadrature import adaptive_batch
+from orthantloop.quadrature import QuadratureSettings, adaptive_batch
 
 TWO_PI = 2.0 * math.pi
 
@@ -202,6 +204,58 @@ def test_i_hex_orthant_identity_equicorrelated():
     p_formula = (1.0 + (2.0 / math.pi) * asum + i4sum - i6) / 64.0
     p_mc, err = orthant_mc(rho, MCSettings(samples=10_000_000, seed=13, batch=1_000_000))
     assert abs(p_formula - p_mc) < 3.0 * err
+
+
+def _shifted(rho, shift):
+    """Complex correlation matrix with every off-diagonal moved by ``shift``."""
+    return rho + shift * (1.0 - np.eye(rho.shape[-1]))
+
+
+def _assert_rows_match_singles(batch, stack, anchors=None):
+    """Every matrix of a stack gets its single-matrix value, error, ok and
+    node count: node counts exactly, values and errors to a few ulp."""
+    values, errors, ok, nodes = batch(stack, anchors=anchors)
+    for b in range(len(stack)):
+        one = None if anchors is None else anchors[b:b + 1]
+        v, e, o, n = batch(stack[b:b + 1], anchors=one)
+        assert n[0] == nodes[b] and o[0] == ok[b]
+        assert abs(v[0] - values[b]) <= 4 * np.spacing(abs(values[b]))
+        assert abs(e[0] - errors[b]) <= 4 * np.spacing(errors[b])
+
+
+def test_quartet_rows_independent_of_stack(rng):
+    real = np.stack([rand_corr(rng, 4, ridge=r) for r in (0.2, 0.5, 2.0, 8.0)])
+    _assert_rows_match_singles(quartet_batch, real)
+    _assert_rows_match_singles(quartet_batch, _shifted(real, 0.04j))
+    _assert_rows_match_singles(quartet_batch, real, anchors=[0, 1, 2, 3])
+
+
+def test_hex_rows_independent_of_stack(rng):
+    real = np.stack([rand_corr(rng, 6, ridge=r) for r in (0.3, 1.0, 4.0)])
+    _assert_rows_match_singles(i_hex_batch, real)
+    _assert_rows_match_singles(i_hex_batch, _shifted(real, 0.03j))
+
+
+def test_i_hex_batch_matches_i_hex(rng):
+    real = np.stack([rand_corr(rng, 6, ridge=r) for r in (0.3, 1.0, 4.0)])
+    for stack in (real, _shifted(real, 0.03j)):
+        values, errors, ok, _ = i_hex_batch(stack)
+        assert np.all(ok)
+        for anchor in (0, 3):
+            for b, rho in enumerate(stack):
+                single = i_hex(rho, anchor=anchor)
+                assert single.converged
+                assert abs(single.value - values[b]) <= single.abs_error + errors[b]
+
+
+def test_quartet_ok_is_per_matrix(rng):
+    easy = rand_corr(rng, 4, ridge=8.0)
+    hard = np.full((4, 4), -0.33)
+    np.fill_diagonal(hard, 1.0)
+    values, errors, ok, nodes = quartet_batch(np.stack([easy, hard]),
+                                              QuadratureSettings(max_subdivisions=1))
+    assert list(ok) == [True, False]
+    assert nodes[0] < nodes[1] == 45
 
 
 def test_complex_continuity_check(rng):

@@ -21,6 +21,7 @@ from orthantloop.npoint import (
     two_point_angle_form,
 )
 from orthantloop.oracle import MCSettings, feynman_oracle, orthant_mc
+from orthantloop.quadrature import QuadratureSettings
 
 from conftest import config_from, equicorrelated_config
 
@@ -199,6 +200,30 @@ def test_orthant_probability_batch_matches_single(rng):
     for b in range(3):
         single, _ = orthant_probability(rhos[b])
         assert batch[b] == pytest.approx(single, rel=1e-12)
+
+
+def test_inner_non_convergence_reaches_the_value():
+    sigma = np.full((5, 5), -0.249)
+    np.fill_diagonal(sigma, 1.0)
+    starved = QuadratureSettings(max_subdivisions=1)
+    out = evaluate_unit(sigma, 5, starved, strict=False)
+    assert not out.converged
+    assert out.flags == ("inner_non_converged",)
+    assert evaluate_unit(sigma, 5, strict=False).converged
+    # the row-sum route at n = N - 1 ANDs its conditioned orthants too
+    one_panel = QuadratureSettings(rel_tol=1e-14, abs_tol=1e-30, max_subdivisions=0)
+    out = evaluate_unit(sigma, 4, one_panel, strict=False)
+    assert out.flags == ("inner_non_converged",)
+    rhos = np.stack([np.eye(5), correlation_data(sigma, strict=False).rho])
+    assert list(orthant_probability_batch(rhos, starved).converged) == [True, False]
+
+
+def test_error_covers_rounding_of_the_assembly():
+    sigma = build_sigma(random_interior_config(np.random.default_rng(11), 4)).entries
+    at_n = evaluate_unit(sigma, 4)
+    assert at_n.abs_error >= 0.5 * np.spacing(abs(at_n.value))
+    closed = evaluate_unit(sigma, 3)
+    assert closed.abs_error > 0.0
 
 
 def test_two_point_angle_form_complex():

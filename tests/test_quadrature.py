@@ -7,6 +7,7 @@ from scipy.special import gamma as gamma_fn
 from orthantloop.quadrature import (
     QuadratureSettings,
     adaptive_batch,
+    adaptive_rows,
     integrate_01,
     integrate_0inf,
     integrate_contour,
@@ -53,6 +54,38 @@ def test_batch_integration():
         lambda x: np.stack([x ** 2, np.sin(x), np.exp(x)]), 0.0, 1.0, 1e-10, 1e-14)
     assert ok
     assert np.allclose(val, [1.0 / 3.0, 1.0 - math.cos(1.0), math.e - 1.0], rtol=1e-10)
+
+
+def _power_rows(powers):
+    """Rows of x**p on [0, 1]; a row's integrand never looks at the others."""
+    powers = np.asarray(powers, dtype=float)
+    return lambda x, rows: x ** powers[rows][:, None]
+
+
+def test_rows_adapt_independently():
+    powers = [0.5, 2.0, 7.0, -0.25, 3.0]
+    val, err, ok, neval = adaptive_rows(_power_rows(powers), 0.0, 1.0, len(powers),
+                                        1e-11, 1e-15)
+    assert np.all(ok)
+    exact = 1.0 / (np.array(powers) + 1.0)
+    assert np.all(np.abs(val - exact) <= err + 1e-14)
+    assert np.all(err >= 5e-16 * np.abs(val))
+    assert np.all((neval - 15) % 30 == 0)
+    # the endpoint singularity needs splits the polynomials do not
+    assert neval[3] > neval[1] == 15
+    for r, p in enumerate(powers):
+        one = adaptive_rows(_power_rows([p]), 0.0, 1.0, 1, 1e-11, 1e-15)
+        assert one[3][0] == neval[r] and one[2][0] == ok[r]
+        assert abs(one[0][0] - val[r]) <= 4 * np.spacing(abs(val[r]))
+        assert abs(one[1][0] - err[r]) <= 4 * np.spacing(err[r])
+
+
+def test_rows_report_exhausted_budget():
+    val, err, ok, neval = adaptive_rows(_power_rows([-0.5, 1.0]), 0.0, 1.0, 2,
+                                        1e-12, 1e-16, max_subdivisions=3)
+    assert list(ok) == [False, True]
+    assert neval[0] == 15 + 30 * 3
+    assert abs(val[0] - 2.0) <= err[0]
 
 
 CONTOUR_SETTINGS = QuadratureSettings(rel_tol=1e-7, abs_tol=1e-11,
