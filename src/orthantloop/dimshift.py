@@ -8,6 +8,13 @@ mass matrices.  Raised powers at n = nu are themselves contour integrals
 over single-entry shifts, or equivalently plain assemblies on a matrix with
 duplicated columns.
 
+The nodes of every outer integral are independent evaluations of the same
+kind, so each route hands all nodes of a quadrature step to one stacked
+evaluation: ``unit_values`` for unit powers, ``_duplicate_values`` for the
+duplicated columns and ``_contour_values`` for a stack of contours, each of
+which adapts per matrix.  Every route ANDs the convergence of its inner
+evaluations into its own result (flag ``inner_non_converged``).
+
 Branch handling on contours: determinants and diagonal minors of the
 shifted matrices are polynomials of degree at most two in the contour
 variable (the shifts are rank-one or rank-two updates), so their square
@@ -20,7 +27,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import product as iter_product
 
 import numpy as np
@@ -28,8 +36,8 @@ from scipy.special import digamma, gamma as gamma_fn, polygamma
 
 from .errors import AssemblyLimit, DivergentIntegral, SingularMatrix, ValidationError
 from .kinematics import KinematicConfig, build_sigma
-from .matrixops import det, inverse, inverse_batch, minor
-from .npoint import evaluate_unit, orthant_probability_batch, two_point_angle_form
+from .matrixops import inverse_batch, rejected
+from .npoint import angle_form_values, evaluate_unit, orthant_probability_batch, unit_values
 from .quadrature import (
     DEFAULT_SETTINGS,
     IntegralValue,
@@ -37,7 +45,8 @@ from .quadrature import (
     METHOD_QUADRATURE,
     QuadratureSettings,
     adaptive_batch,
-    integrate_contour,
+    contour_rows,
+    convergence,
 )
 
 
@@ -51,7 +60,8 @@ class ShiftKind(enum.Enum):
 
 @dataclass(frozen=True)
 class ShiftedSigma:
-    """A named one-parameter deformation of a mass matrix.
+    """A named one-parameter deformation of a mass matrix, or of each
+    matrix of a stack (``base`` shaped (..., N, N)).
 
     ``materialize`` reproduces the concrete (possibly complex) matrix for a
     given parameter value; the stored ``parameter`` is just a default.
@@ -69,176 +79,202 @@ class ShiftedSigma:
         return self.materialize_batch(np.asarray(s).reshape(1))[0]
 
     def materialize_batch(self, s: np.ndarray) -> np.ndarray:
-        """Shifted matrices for an array of parameter values, shape
-        (len(s), N, N)."""
+        """Shifted matrices for an array of parameter values: ``s`` shaped
+        base.shape[:-2] + (k,) gives matrices shaped s.shape + (N, N)."""
         base = np.asarray(self.base)
         s = np.asarray(s)
         dtype = complex if (np.iscomplexobj(base) or np.iscomplexobj(s)) else float
-        out = np.broadcast_to(base.astype(dtype), (len(s),) + base.shape).copy()
+        out = np.broadcast_to(base[..., None, :, :].astype(dtype),
+                              s.shape + base.shape[-2:]).copy()
         kind = self.shift_kind
         if kind is ShiftKind.ALL_MASSES_PLUS_TAU:
-            out += s[:, None, None]
+            out += s[..., None, None]
         elif kind is ShiftKind.ALL_MASSES_MINUS_S:
-            out -= s[:, None, None]
+            out -= s[..., None, None]
         elif kind is ShiftKind.SINGLE_DIAGONAL_MINUS_S:
             (k,) = self.legs
-            out[:, k, k] -= s
+            out[..., k, k] -= s
         elif kind is ShiftKind.SINGLE_OFFDIAGONAL_INVARIANT_PLUS_4S:
             # k2 -> k2 + 4s translates to a -2s shift of the matrix entry
             k, kp = self.legs
-            out[:, k, kp] -= 2.0 * s
-            out[:, kp, k] -= 2.0 * s
+            out[..., k, kp] -= 2.0 * s
+            out[..., kp, k] -= 2.0 * s
         else:
             raise ValueError(f"no batch materialization for {kind}")
         return out
 
-    def diagonal_bounds(self) -> list[float]:
+    def diagonal_bounds(self) -> np.ndarray:
         """Upper bounds on a contour abscissa from keeping the real parts of
-        the shifted squared masses positive."""
+        the shifted squared masses positive, shaped base.shape[:-2] + (m,)."""
+        diag = np.real(np.diagonal(self.base, axis1=-2, axis2=-1))
         if self.shift_kind is ShiftKind.ALL_MASSES_MINUS_S:
-            return [float(np.min(np.real(np.diag(self.base))))]
+            return np.min(diag, axis=-1, keepdims=True)
         if self.shift_kind is ShiftKind.SINGLE_DIAGONAL_MINUS_S:
             (k,) = self.legs
-            return [float(np.real(self.base[k, k]))]
-        return []
+            return diag[..., k:k + 1]
+        return diag[..., :0]
+
+    @cached_property
+    def polynomials(self) -> np.ndarray:
+        """Coefficients (c0, c1, c2) of the determinant and the N diagonal
+        minors of the shifted matrices, shaped base.shape[:-2] + (N + 1, 3).
+
+        Each has degree <= 2 in the parameter, so three samples fit it
+        exactly; the determinants of all samples come from one
+        ``numpy.linalg.det`` call per size.
+        """
+        base = np.asarray(self.base)
+        N = base.shape[-1]
+        scale = np.max(np.abs(np.diagonal(base, axis1=-2, axis2=-1)), axis=-1)
+        xs = scale[..., None] * np.array([0.0, 0.37, 0.81])
+        mats = self.materialize_batch(xs)
+        keep = np.array([[j for j in range(N) if j != i] for i in range(N)]).reshape(N, N - 1)
+        minors = mats[..., keep[:, :, None], keep[:, None, :]]
+        ys = np.concatenate([np.linalg.det(mats)[..., None], np.linalg.det(minors)], axis=-1)
+        vander = xs[..., :, None] ** np.arange(3)
+        return np.swapaxes(np.linalg.solve(vander, ys.astype(complex)), -1, -2)
 
 
-def augment_sigma(sigma: np.ndarray, powers, delta: float = 0.0) -> np.ndarray:
-    """Duplicate leg i of the matrix powers[i] times; copies of the same leg
-    get cosine 1 - delta between each other (delta = 0 is the exact,
-    singular augmentation)."""
-    sigma = np.asarray(sigma)
-    idx = [i for i, p in enumerate(powers) for _ in range(int(p))]
-    aug = sigma[np.ix_(idx, idx)].astype(float).copy()
-    if delta:
-        pos = 0
-        blocks = []
-        for i, p in enumerate(powers):
-            blocks.append(range(pos, pos + int(p)))
-            pos += int(p)
-        for i, blk in enumerate(blocks):
-            mii = sigma[i, i]
-            for a in blk:
-                for b in blk:
-                    if a != b:
-                        aug[a, b] = mii * (1.0 - delta)
-    return aug
+def augment_sigma(sigma: np.ndarray, powers, delta=0.0) -> np.ndarray:
+    """Duplicate leg i of the matrix (or of every matrix of a stack shaped
+    (..., N, N)) powers[i] times; copies of the same leg get cosine
+    1 - delta between each other (delta = 0 is the exact, singular
+    augmentation).  An array of deltas broadcasts against the stack."""
+    idx = np.repeat(np.arange(len(powers)), [int(p) for p in powers])
+    aug = np.asarray(sigma)[..., idx[:, None], idx[None, :]].astype(float)
+    same = (idx[:, None] == idx[None, :]) & ~np.eye(len(idx), dtype=bool)
+    diag = np.diagonal(aug, axis1=-2, axis2=-1)
+    delta = np.asarray(delta, dtype=float)[..., None, None]
+    return np.where(same, diag[..., :, None] * (1.0 - delta), aug)
 
 
 # ---------------------------------------------------------------------------
-# Continuous square roots of shift polynomials along a vertical contour.
+# Continuous square roots of shift polynomials along vertical contours.
 
-def _fit_poly(fn, scale: float):
-    """Exact quadratic fit of a degree <= 2 polynomial from three samples."""
-    xs = np.array([0.0, 0.37 * scale, 0.81 * scale])
-    ys = np.array([fn(x) for x in xs], dtype=complex)
-    v = np.vander(xs, 3, increasing=True)
-    coeffs = np.linalg.solve(v, ys)
-    return coeffs  # (c0, c1, c2)
-
-
-def _poly_roots(coeffs) -> list[complex]:
-    c0, c1, c2 = coeffs
-    scale = max(abs(c0), abs(c1), abs(c2), 1e-300)
-    if abs(c2) > 1e-12 * scale:
-        disc = np.sqrt(complex(c1 * c1 - 4.0 * c2 * c0))
-        return [(-c1 + disc) / (2.0 * c2), (-c1 - disc) / (2.0 * c2)]
-    if abs(c1) > 1e-12 * scale:
-        return [complex(-c0 / c1)]
-    return []
-
-
-def _poly_positive_real_roots(coeffs) -> list[float]:
-    out = []
-    for r in _poly_roots(coeffs):
-        if abs(r.imag) < 1e-9 * (1.0 + abs(r)) and r.real > 0:
-            out.append(float(r.real))
-    return out
+def _poly_roots(coeffs):
+    """Roots of the polynomials c0 + c1 s + c2 s**2 with ``coeffs`` shaped
+    (..., 3): (roots, exists), both shaped (..., 2).  A leading coefficient
+    below 1e-12 of the largest counts as zero."""
+    c0, c1, c2 = np.moveaxis(np.asarray(coeffs, dtype=complex), -1, 0)
+    scale = np.maximum(np.maximum(np.abs(c0), np.abs(c1)), np.maximum(np.abs(c2), 1e-300))
+    quad = np.abs(c2) > 1e-12 * scale
+    lin = ~quad & (np.abs(c1) > 1e-12 * scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
+        first = np.where(quad, (-c1 + disc) / (2.0 * c2), -c0 / c1)
+        second = (-c1 - disc) / (2.0 * c2)
+    exists = np.stack([quad | lin, quad], axis=-1)
+    return np.where(exists, np.stack([first, second], axis=-1), 0.0), exists
 
 
 def _poly_eval(coeffs, s):
-    c0, c1, c2 = coeffs
-    return c0 + s * (c1 + s * c2)
+    return coeffs[..., 0] + s * (coeffs[..., 1] + s * coeffs[..., 2])
 
 
-def continuous_sqrt_on_contour(coeffs, abscissa: float):
-    """sqrt of a degree <= 2 polynomial, continuous along Re(s) = abscissa
-    and positive at s = abscissa.
+def continuous_sqrt_on_contour(coeffs, abscissa):
+    """sqrt of degree <= 2 polynomials, ``coeffs`` shaped (B, P, 3), each
+    continuous along Re(s) = abscissa[b] and positive at s = abscissa[b].
 
     Each root factor uses the branch cut pointing away from the contour, so
-    the product never jumps while s runs along the line.
+    the product never jumps while s runs along the line.  Returns
+    ``sqrt(s, rows)`` for nodes shaped (len(rows), k) on the contours of
+    rows ``rows``, with values shaped (len(rows), k, P).
     """
-    roots = _poly_roots(coeffs)
-    for r in roots:
-        if abs(r.real - abscissa) < 1e-12 * (1.0 + abs(r)):
-            raise SingularMatrix(f"shift polynomial root {r} sits on the contour")
+    abscissa = np.asarray(abscissa, dtype=float)
+    roots, exists = _poly_roots(coeffs)
+    c = abscissa[:, None, None]
+    if np.any(exists & (np.abs(roots.real - c) < 1e-12 * (1.0 + np.abs(roots)))):
+        raise SingularMatrix("shift polynomial root sits on the contour")
+    left = roots.real < c
 
-    def raw(s):
-        out = np.ones_like(np.asarray(s, dtype=complex))
-        for r in roots:
-            out = out * (np.sqrt(s - r) if r.real < abscissa else np.sqrt(r - s))
-        return out
+    def raw(s, rows):
+        s = s[:, :, None, None]
+        r = roots[rows][:, None]
+        factor = np.where(left[rows][:, None], np.sqrt(s - r), np.sqrt(r - s))
+        return np.where(exists[rows][:, None], factor, 1.0).prod(axis=-1)
 
-    base = _poly_eval(coeffs, abscissa)
-    omega = np.sqrt(complex(base)) / raw(np.array(abscissa + 0.0j))
-    return lambda s: omega * raw(s)
+    at_c = abscissa[:, None] + 0.0j
+    omega = np.sqrt(_poly_eval(coeffs, at_c)) / raw(at_c, np.arange(len(abscissa)))[:, 0]
+    return lambda s, rows: omega[rows][:, None] * raw(s, rows)
 
 
 # ---------------------------------------------------------------------------
-# Contour evaluation of unit-power values on shifted matrices.
+# Contour evaluation of unit-power values on stacks of shifted matrices.
 
-def choose_abscissa(shift: ShiftedSigma, settings: QuadratureSettings) -> float:
-    """Half the tightest positive constraint: shifted masses keep positive
-    real part and no determinant or diagonal-minor root is crossed."""
+def choose_abscissa(shift: ShiftedSigma, settings: QuadratureSettings) -> np.ndarray:
+    """Half the tightest positive constraint, per matrix of the shift's
+    stack: shifted masses keep positive real part and no determinant or
+    diagonal-minor root is crossed."""
+    base = np.asarray(shift.base)
     if settings.contour_abscissa_c is not None:
-        return settings.contour_abscissa_c
-    sigma = np.asarray(shift.base)
-    n = sigma.shape[0]
-    scale = float(np.max(np.abs(np.diag(sigma))))
-    bounds = shift.diagonal_bounds()
-    det_poly = _fit_poly(lambda s: det(shift.materialize(s)), scale)
-    bounds += _poly_positive_real_roots(det_poly)
-    for i in range(n):
-        mpoly = _fit_poly(lambda s, i=i: det(minor(shift.materialize(s), i, i)), scale)
-        bounds += _poly_positive_real_roots(mpoly)
-    if not bounds:
-        return 0.5 * scale
-    return 0.5 * min(bounds)
+        return np.full(base.shape[:-2], float(settings.contour_abscissa_c))
+    scale = np.max(np.abs(np.diagonal(base, axis1=-2, axis2=-1)), axis=-1)
+    roots, exists = _poly_roots(shift.polynomials)
+    real = exists & (np.abs(roots.imag) < 1e-9 * (1.0 + np.abs(roots))) & (roots.real > 0)
+    crossings = np.where(real, roots.real, np.inf).reshape(base.shape[:-2] + (-1,))
+    bounds = np.concatenate([shift.diagonal_bounds(), crossings], axis=-1)
+    tightest = np.min(bounds, axis=-1, initial=np.inf)
+    return np.where(np.isfinite(tightest), 0.5 * tightest, 0.5 * scale)
 
 
-def unit_contour_evaluator(shift: ShiftedSigma, abscissa: float,
+def unit_contour_evaluator(shift: ShiftedSigma, abscissa: np.ndarray,
                            settings: QuadratureSettings):
-    """Vectorized s -> J^N(N; unit powers; shifted(s)) along the contour,
-    with explicitly continued square roots."""
-    sigma = np.asarray(shift.base)
-    N = sigma.shape[0]
-    scale = float(np.max(np.abs(np.diag(sigma))))
+    """s -> J^N(N; unit powers; shifted(s)) along the contours of a stack of
+    shifts (``base`` shaped (B, N, N)), with explicitly continued square
+    roots.
+
+    Returns ``(f, ok)``: ``f(s, rows)`` takes nodes shaped (len(rows), k)
+    on the contours of rows ``rows`` and evaluates all of them with one
+    ``orthant_probability_batch`` call; ``ok[b]`` stays True while every
+    inner integral of row b has converged.
+    """
+    base = np.asarray(shift.base)
+    B, N = base.shape[0], base.shape[-1]
+    ok = np.ones(B, dtype=bool)
+
+    def shifted(s, rows):
+        return replace(shift, base=base[rows]).materialize_batch(s)
+
     if N == 2:
-        def f2(s_nodes):
-            return np.array([two_point_angle_form(shift.materialize(s)).value
-                             for s in np.atleast_1d(s_nodes)])
-        return f2
-    det_poly = _fit_poly(lambda s: det(shift.materialize(s)), scale)
-    det_sqrt = continuous_sqrt_on_contour(det_poly, abscissa)
-    minor_sqrts = []
-    for i in range(N):
-        mpoly = _fit_poly(lambda s, i=i: det(minor(shift.materialize(s), i, i)), scale)
-        minor_sqrts.append(continuous_sqrt_on_contour(mpoly, abscissa))
+        def f2(s, rows):
+            return angle_form_values(shifted(s, rows).reshape(-1, 2, 2))[0].reshape(s.shape)
+        return f2, ok
+    sqrts = continuous_sqrt_on_contour(shift.polynomials, abscissa)
+    det_poly = shift.polynomials[:, 0]
+    pref = (-1.0) ** N * 2.0 * math.pi ** (0.5 * N)
+    ii = np.arange(N)
 
-    def f(s_nodes):
-        s_nodes = np.atleast_1d(s_nodes).astype(complex)
-        B = len(s_nodes)
-        mats = shift.materialize_batch(s_nodes)
-        rinv = inverse_batch(mats)
-        detv = _poly_eval(det_poly, s_nodes)
-        dvec = np.stack([ms(s_nodes) for ms in minor_sqrts], axis=1)  # (B, N)
+    def f(s, rows):
+        s = np.asarray(s, dtype=complex)
+        roots = sqrts(s, rows)                       # det, then the N minors
+        dvec = roots[..., 1:].reshape(-1, N)
+        detv = _poly_eval(det_poly[rows][:, None], s).reshape(-1)
+        rinv = inverse_batch(shifted(s, rows).reshape(-1, N, N))
         rhos = detv[:, None, None] * rinv / (dvec[:, :, None] * dvec[:, None, :])
-        ii = np.arange(N)
         rhos[:, ii, ii] = 1.0
-        p0, _ = orthant_probability_batch(rhos, settings)
-        return (-1.0) ** N * 2.0 * math.pi ** (0.5 * N) * p0 / det_sqrt(s_nodes)
+        p0 = orthant_probability_batch(rhos, settings)
+        ok[rows[~p0.converged.reshape(s.shape).all(axis=1)]] = False
+        return pref * p0.value.reshape(s.shape) / roots[..., 0]
 
-    return f
+    return f, ok
+
+
+def _contour_values(shift: ShiftedSigma, weight_power: float, prefactor: float,
+                    settings: QuadratureSettings):
+    """prefactor / (2*pi*i) times the contour integral of
+    J^N(N; unit powers; shifted(s)) / s**weight_power, for every matrix of
+    the shift's stack; each keeps its own abscissa, strips and tail test.
+    Returns (values, errors, converged, inner_converged) per matrix."""
+    base = np.asarray(shift.base)
+    c = choose_abscissa(shift, settings)
+    inner, inner_ok = unit_contour_evaluator(shift, c, settings.tighter(0.1))
+    scale = np.max(np.real(np.diagonal(base, axis1=-2, axis2=-1)), axis=-1)
+    T0 = np.full(len(base), settings.contour_halfheight_T) \
+        if settings.contour_halfheight_T else 8.0 * scale
+    value, err, ok = contour_rows(lambda s, rows: inner(s, rows) / s ** weight_power,
+                                  c, T0, settings)
+    return (prefactor * value,
+            abs(prefactor) * (err + 10.0 * settings.rel_tol * np.abs(value)), ok, inner_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +320,11 @@ def _form_moments(sigma: np.ndarray, powers):
 class _ShiftedFamily:
     """x -> J(n; powers; Sigma + x*ones) at some fixed inner dimension n,
     switching to the asymptotic series past x_switch, with closed-form
-    weighted tail integrals."""
+    weighted tail integrals.
+
+    ``inner`` maps a stack of matrices (B, N, N) to (values, errors,
+    converged); ``values`` hands it every shift below x_switch at once.
+    """
 
     def __init__(self, sigma: np.ndarray, powers, inner, n: float | None = None,
                  x_switch: float | None = None):
@@ -306,11 +346,27 @@ class _ShiftedFamily:
         ])
         self.mean_form = s1 / s0
 
+    def _series(self, xs: np.ndarray) -> np.ndarray:
+        return sum(c * xs ** (-self.beta - m) for m, c in enumerate(self.tail_coeffs))
+
+    def values(self, xs) -> tuple[np.ndarray, bool]:
+        """The family at the shifts ``xs``, and whether every inner
+        evaluation converged."""
+        xs = np.asarray(xs, dtype=float)
+        near = xs <= self.x_switch
+        out = np.empty(len(xs), dtype=complex)
+        out[~near] = self._series(xs[~near])
+        if not np.any(near):
+            return out, True
+        out[near], _, ok = self.inner(self.sigma + xs[near, None, None])
+        return out, bool(np.all(ok))
+
     def value(self, x: float) -> complex:
+        """The family at one shift, for an ``inner`` that maps one matrix to
+        its value."""
         if x <= self.x_switch:
-            return self.inner(self.sigma + x * np.ones_like(self.sigma))
-        return complex(sum(c * x ** (-self.beta - m)
-                           for m, c in enumerate(self.tail_coeffs)))
+            return self.inner(self.sigma + x)
+        return complex(self._series(np.array([x]))[0])
 
     def tail_integral(self, k: float, j: int):
         """Closed form of int_X^inf x**(k-1) log(x)**j * asymptotic(x) dx and
@@ -339,13 +395,13 @@ def _require_unit_powers(config: KinematicConfig, op: str):
 
 
 def _base_at_nu(config: KinematicConfig, settings: QuadratureSettings):
-    """Evaluator of the value at n = nu on an arbitrary shifted matrix."""
+    """Stacked evaluator of the value at n = nu on shifted matrices."""
     N = config.n_legs
     if all(p == 1 for p in config.powers):
-        return lambda mat: evaluate_unit(mat, N, settings).value
+        return lambda mats: unit_values(mats, N, settings)
     if config.nu_total > 7:
         raise AssemblyLimit(f"augmented assembly needs nu <= 7, got {config.nu_total}")
-    return lambda mat: _integrable_duplicate_value(mat, config.powers, settings)
+    return lambda mats: _integrable_duplicate_values(mats, config.powers, settings)
 
 
 def raise_dimension(config: KinematicConfig,
@@ -363,10 +419,11 @@ def raise_dimension(config: KinematicConfig,
     inner_settings = settings.tighter(0.1)
     family = _ShiftedFamily(sigma, config.powers, _base_at_nu(config, inner_settings))
     w_max = math.sqrt(family.x_switch)
+    inner_ok = []
 
     def integrand(w):
-        w = np.atleast_1d(w)
-        vals = np.array([family.value(float(wi * wi)) for wi in w])
+        vals, ok = family.values(w * w)
+        inner_ok.append(ok)
         return 2.0 * w ** (2.0 * alpha - 1.0) * vals
 
     val, err, ok, _ = adaptive_batch(integrand, 0.0, w_max, settings.rel_tol,
@@ -376,7 +433,7 @@ def raise_dimension(config: KinematicConfig,
     value = pref * (complex(val) + tail)
     error = abs(pref) * (float(err) + trunc) + 10.0 * inner_settings.rel_tol * abs(value)
     return IntegralValue(value=value, abs_error=error, method=METHOD_QUADRATURE,
-                         converged=bool(ok))
+                         **convergence(bool(ok), all(inner_ok)))
 
 
 def lower_dimension(config: KinematicConfig,
@@ -385,74 +442,58 @@ def lower_dimension(config: KinematicConfig,
     squared masses shifted into the complex plane."""
     n = config.dimension
     nu = config.nu_total
-    N = config.n_legs
     if nu - n <= 0:
         raise ValidationError(f"lower_dimension needs nu > n, got n={n}, nu={nu}")
     _require_unit_powers(config, "lower_dimension")
-    sigma = build_sigma(config).entries
     q = 0.5 * (nu - n)
-    shift = ShiftedSigma(sigma, ShiftKind.ALL_MASSES_MINUS_S)
-    c = choose_abscissa(shift, settings)
-    inner = unit_contour_evaluator(shift, c, settings.tighter(0.1))
-    gq = gamma_fn(q + 1.0)
-
-    def f(s):
-        return gq * inner(s) / s ** (q + 1.0)
-
-    scale = float(np.max(np.diag(sigma)))
-    csettings = QuadratureSettings(
-        rel_tol=settings.rel_tol, abs_tol=settings.abs_tol,
-        max_subdivisions=settings.max_subdivisions,
-        contour_abscissa_c=c,
-        contour_halfheight_T=settings.contour_halfheight_T or 8.0 * scale,
-        infinite_domain_map=settings.infinite_domain_map)
-    out = integrate_contour(f, csettings, scale=scale)
-    error = out.abs_error + 10.0 * settings.rel_tol * abs(out.value)
-    return IntegralValue(value=out.value, abs_error=error, method=METHOD_CONTOUR,
-                         converged=out.converged, flags=out.flags)
+    shift = ShiftedSigma(build_sigma(config).entries[None], ShiftKind.ALL_MASSES_MINUS_S)
+    return _one_contour(_contour_values(shift, q + 1.0, gamma_fn(q + 1.0), settings))
 
 
 # ---------------------------------------------------------------------------
 # Propagator-power raising at n = nu.
 
-def _power_contour(config: KinematicConfig, shift: ShiftedSigma, weight_power: float,
-                   prefactor: float, settings: QuadratureSettings) -> IntegralValue:
-    c = choose_abscissa(shift, settings)
-    inner = unit_contour_evaluator(shift, c, settings.tighter(0.1))
+def _one_contour(rows) -> IntegralValue:
+    value, error, ok, inner_ok = rows
+    return IntegralValue(value=complex(value[0]), abs_error=float(error[0]),
+                         method=METHOD_CONTOUR, **convergence(ok[0], inner_ok[0]))
 
-    def f(s):
-        return inner(s) / s ** weight_power
 
-    scale = float(np.max(np.diag(np.asarray(shift.base))))
-    csettings = QuadratureSettings(
-        rel_tol=settings.rel_tol, abs_tol=settings.abs_tol,
-        max_subdivisions=settings.max_subdivisions,
-        contour_abscissa_c=c,
-        contour_halfheight_T=settings.contour_halfheight_T or 8.0 * scale)
-    out = integrate_contour(f, csettings, scale=scale)
-    value = prefactor * out.value
-    error = abs(prefactor) * (out.abs_error + 10.0 * settings.rel_tol * abs(out.value))
-    return IntegralValue(value=value, abs_error=error, method=METHOD_CONTOUR,
-                         converged=out.converged, flags=out.flags)
+def _power_contour(sigmas: np.ndarray, legs: tuple[int, ...], power: int,
+                   settings: QuadratureSettings):
+    """Raised powers at n = nu as contours over a stack of mass matrices:
+    power nu_k on one leg (single-diagonal mass shift, n = N - 1 + nu_k) or
+    equal powers on two legs (off-diagonal invariant shift k2 -> k2 + 4s,
+    n = N - 2 + 2 nu_k), all other powers 1."""
+    if len(legs) == 1:
+        shift = ShiftedSigma(sigmas, ShiftKind.SINGLE_DIAGONAL_MINUS_S, legs=legs)
+        pref = (-1.0) ** (power - 1) * gamma_fn(0.5 * (power + 1.0)) / gamma_fn(power)
+        return _contour_values(shift, 0.5 * (power + 1.0), pref, settings)
+    shift = ShiftedSigma(sigmas, ShiftKind.SINGLE_OFFDIAGONAL_INVARIANT_PLUS_4S, legs=legs)
+    return _contour_values(shift, float(power), 4.0 ** (1.0 - power) / gamma_fn(power),
+                           settings)
+
+
+def _single_raised_power(powers, dimension: float, leg: int) -> int:
+    """nu_k of ``raise_power_single``'s configuration, after checking it."""
+    nu_k = powers[leg]
+    nu = sum(powers)
+    if any(p != 1 for i, p in enumerate(powers) if i != leg):
+        raise ValidationError("raise_power_single: all other powers must be 1")
+    if dimension != nu or nu != len(powers) - 1 + nu_k:
+        raise ValidationError(f"raise_power_single needs n = nu = N-1+nu_k, got n={dimension}")
+    return nu_k
 
 
 def raise_power_single(config: KinematicConfig, leg: int,
                        settings: QuadratureSettings = DEFAULT_SETTINGS) -> IntegralValue:
     """One propagator power nu_k > 1, all others 1, at n = nu = N - 1 + nu_k:
     a contour integral over the single-diagonal mass shift."""
-    nu_k = config.powers[leg]
-    N = config.n_legs
-    nu = config.nu_total
-    if any(p != 1 for i, p in enumerate(config.powers) if i != leg):
-        raise ValidationError("raise_power_single: all other powers must be 1")
-    if config.dimension != nu or nu != N - 1 + nu_k:
-        raise ValidationError(f"raise_power_single needs n = nu = N-1+nu_k, got n={config.dimension}")
+    nu_k = _single_raised_power(config.powers, config.dimension, leg)
     sigma = build_sigma(config).entries
     if nu_k == 1:
-        return evaluate_unit(sigma, N, settings)
-    shift = ShiftedSigma(sigma, ShiftKind.SINGLE_DIAGONAL_MINUS_S, legs=(leg,))
-    pref = (-1.0) ** (nu_k - 1) * gamma_fn(0.5 * (nu_k + 1.0)) / gamma_fn(nu_k)
-    return _power_contour(config, shift, 0.5 * (nu_k + 1.0), pref, settings)
+        return evaluate_unit(sigma, config.n_legs, settings)
+    return _one_contour(_power_contour(sigma[None], (leg,), nu_k, settings))
 
 
 def raise_power_pair(config: KinematicConfig, legs: tuple[int, int],
@@ -472,56 +513,58 @@ def raise_power_pair(config: KinematicConfig, legs: tuple[int, int],
     sigma = build_sigma(config).entries
     if v == 1:
         return evaluate_unit(sigma, N, settings)
-    shift = ShiftedSigma(sigma, ShiftKind.SINGLE_OFFDIAGONAL_INVARIANT_PLUS_4S, legs=(k, kp))
-    pref = 4.0 ** (1.0 - v) / gamma_fn(v)
-    return _power_contour(config, shift, float(v), pref, settings)
+    return _one_contour(_power_contour(sigma[None], (k, kp), v, settings))
 
 
-def _duplicate_value(sigma: np.ndarray, powers, settings: QuadratureSettings,
-                     deltas=(1e-4, 1e-5, 1e-6)) -> IntegralValue:
-    """Unit-power assembly on the duplicated-column matrix, regularized and
-    extrapolated to the singular limit.
+def _duplicate_values(sigmas: np.ndarray, powers, settings: QuadratureSettings,
+                      deltas=(1e-4, 1e-5, 1e-6)):
+    """Unit-power assembly on the duplicated-column matrices of a stack,
+    regularized and extrapolated to the singular limit: (values, errors,
+    converged) per matrix.  The three regularized matrices of every input
+    are evaluated as one stack.
 
     Shifted or ill-scaled inputs can push the smallest regularization below
-    the determinant gate; the ladder then climbs to ten times larger deltas,
-    which the extrapolation absorbs.
+    the determinant gate; such a matrix then climbs a ladder to ten times
+    larger deltas, which the extrapolation absorbs.
     """
     n_aug = int(sum(powers))
     if n_aug > 7:
         raise AssemblyLimit(f"duplicated assembly would need {n_aug} legs (max 7)")
-    for attempt in range(3):
-        try:
-            vals = []
-            errs = []
-            for d in deltas:
-                r = evaluate_unit(augment_sigma(sigma, powers, d), n_aug, settings,
-                                  strict=False)
-                vals.append(r.value)
-                errs.append(r.abs_error)
+    sigmas = np.asarray(sigmas)
+    B = len(sigmas)
+    ladder = [np.asarray(deltas, dtype=float)]
+    for _ in range(2):
+        ladder.append(10.0 * ladder[-1])
+    rung = np.full(B, -1)
+    for a, rung_deltas in enumerate(ladder):
+        todo = np.flatnonzero(rung < 0)
+        if not len(todo):
             break
-        except SingularMatrix:
-            if attempt == 2:
-                raise
-            deltas = tuple(10.0 * d for d in deltas)
-    d1 = vals[0] - vals[1]
-    d2 = vals[1] - vals[2]
-    ratio = deltas[0] / deltas[1]
-    if abs(d2) < 1e3 * max(errs):
-        value = vals[2]
-        extra = abs(d2)
-    else:
-        p_hat = math.log(abs(d1 / d2)) / math.log(ratio)
-        p_hat = min(max(p_hat, 0.25), 3.0)
+        trial = augment_sigma(sigmas[todo, None], powers, rung_deltas)
+        bad = rejected(trial.reshape(-1, n_aug, n_aug), strict=False).reshape(-1, 3).any(axis=1)
+        rung[todo[~bad]] = a
+    if np.any(rung < 0):
+        raise SingularMatrix(f"duplicated-column matrices stay singular up to delta = "
+                             f"{ladder[-1][0]:g}")
+    used = np.stack(ladder)[rung]                                  # (B, 3)
+    aug = augment_sigma(sigmas[:, None], powers, used)
+    vals, errs, ok = unit_values(aug.reshape(-1, n_aug, n_aug), n_aug, settings, strict=False)
+    vals, errs = vals.reshape(B, 3), errs.reshape(B, 3)
+    d1 = vals[:, 0] - vals[:, 1]
+    d2 = vals[:, 1] - vals[:, 2]
+    ratio = used[:, 0] / used[:, 1]
+    plain = np.abs(d2) < 1e3 * np.max(errs, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_hat = np.clip(np.log(np.abs(d1 / d2)) / np.log(ratio), 0.25, 3.0)
         corr = d2 / (ratio ** p_hat - 1.0)
-        value = vals[2] - corr
-        extra = abs(corr) * 0.5
-    return IntegralValue(value=value, abs_error=sum(errs) + extra,
-                         method=METHOD_QUADRATURE)
+    value = np.where(plain, vals[:, 2], vals[:, 2] - corr)
+    extra = np.where(plain, np.abs(d2), np.abs(corr) * 0.5)
+    return value, errs.sum(axis=1) + extra, ok.reshape(B, 3).all(axis=1)
 
 
-def _integrable_duplicate_value(sigma: np.ndarray, powers,
-                                settings: QuadratureSettings) -> complex:
-    """``_duplicate_value`` as the integrand of an outer quadrature.
+def _integrable_duplicate_values(sigmas: np.ndarray, powers,
+                                 settings: QuadratureSettings):
+    """``_duplicate_values`` as the integrand of an outer quadrature.
 
     The regularized orthant sums cancel to a tiny fraction of their terms,
     and the extrapolation amplifies the differences of what is left.  Each
@@ -529,7 +572,7 @@ def _integrable_duplicate_value(sigma: np.ndarray, powers,
     times more: looser values are too rough for the outer quadratures of the
     shift routes, which then fail to converge.
     """
-    return _duplicate_value(sigma, powers, settings.tighter(0.01)).value
+    return _duplicate_values(sigmas, powers, settings.tighter(0.01))
 
 
 def raise_power_duplicate(config: KinematicConfig,
@@ -543,7 +586,9 @@ def raise_power_duplicate(config: KinematicConfig,
     sigma = build_sigma(config).entries
     if all(p == 1 for p in config.powers):
         return evaluate_unit(sigma, config.n_legs, settings)
-    return _duplicate_value(sigma, config.powers, settings)
+    value, error, ok = _duplicate_values(sigma[None], config.powers, settings)
+    return IntegralValue(value=complex(value[0]), abs_error=float(error[0]),
+                         method=METHOD_QUADRATURE, **convergence(inner_ok=bool(ok[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +629,7 @@ def inv_gamma_series(k: float, order: int) -> np.ndarray:
 
 def eps_expand(config: KinematicConfig, order: int = 2, k: float | None = None,
                settings: QuadratureSettings = DEFAULT_SETTINGS,
-               inner=None, route: str = "contour") -> EpsSeries:
+               route: str = "contour") -> EpsSeries:
     """Expansion of the value at dimension d - 2*eps as log-moment integrals
     of integer-dimension values with uniformly shifted masses.
 
@@ -604,39 +649,30 @@ def eps_expand(config: KinematicConfig, order: int = 2, k: float | None = None,
     base_dim = d - 2.0 * k
     sigma = build_sigma(config).entries
     unit = all(p == 1 for p in config.powers)
-    if inner is None:
-        if unit:
-            if base_dim not in (N, N - 1):
-                raise ValidationError(f"no direct assembly at base dimension {base_dim}")
+    if unit:
+        if base_dim not in (N, N - 1):
+            raise ValidationError(f"no direct assembly at base dimension {base_dim}")
+        inner_settings = settings.tighter(0.1)
 
-            def inner(mat):
-                return evaluate_unit(mat, base_dim, settings.tighter(0.1)).value
-        else:
-            if base_dim != nu:
-                raise ValidationError("raised powers need base dimension = nu")
-            inner = _raised_power_inner(config, settings, route)
-    cache: dict[float, complex] = {}
+        def inner(mats):
+            return unit_values(mats, base_dim, inner_settings)
+    else:
+        if base_dim != nu:
+            raise ValidationError("raised powers need base dimension = nu")
+        inner = _raised_power_inner(config, settings, route)
     # Raised-power inners run on regularized near-singular matrices; hand
     # off to the asymptotic series earlier for them.
     switch = None if unit else 12.0 * float(np.max(np.abs(sigma)))
     family = _ShiftedFamily(sigma, config.powers, inner, n=base_dim, x_switch=switch)
     w_max = math.sqrt(family.x_switch)
-
-    def shifted_value(w: float) -> complex:
-        hit = cache.get(w)
-        if hit is None:
-            hit = family.value(w * w)
-            cache[w] = hit
-        return hit
+    inner_ok = []
 
     def integrand(w):
-        w = np.atleast_1d(w)
-        vals = np.array([shifted_value(float(wi)) for wi in w])
+        vals, ok = family.values(w * w)
+        inner_ok.append(ok)
         logw = np.log(np.maximum(w, 1e-300))
-        rows = []
-        for j in range(order + 1):
-            rows.append(2.0 ** (j + 1) * w ** (2.0 * k - 1.0) * logw ** j * vals)
-        return np.stack(rows)
+        return np.stack([2.0 ** (j + 1) * w ** (2.0 * k - 1.0) * logw ** j * vals
+                         for j in range(order + 1)])
 
     lvals, lerrs, ok, _ = adaptive_batch(integrand, 0.0, w_max, settings.rel_tol,
                                          settings.abs_tol, settings.max_subdivisions)
@@ -657,63 +693,30 @@ def eps_expand(config: KinematicConfig, order: int = 2, k: float | None = None,
             err += abs(w_j) * float(lerrs[j])
         err += 10.0 * settings.rel_tol * abs(val)
         coeffs.append(IntegralValue(value=val, abs_error=err, method=METHOD_QUADRATURE,
-                                    converged=bool(ok)))
+                                    **convergence(bool(ok), all(inner_ok))))
     return EpsSeries(d_base=d, k_shift=float(k), coefficients=tuple(coeffs))
 
 
 def _raised_power_inner(config: KinematicConfig, settings: QuadratureSettings,
                         route: str):
-    """Inner evaluator at n = nu for raised powers on shifted matrices."""
+    """Stacked evaluator at n = nu for raised powers on shifted matrices:
+    the contour route where one leg, or two legs with equal powers, carry
+    them, otherwise (or with ``route="duplicate"``) duplicated columns."""
     powers = config.powers
     nu = config.nu_total
+    N = config.n_legs
     inner_settings = settings.tighter(0.1)
-    raised = [i for i, p in enumerate(powers) if p > 1]
-
-    def by_duplicate(mat):
-        return _integrable_duplicate_value(mat, powers, inner_settings)
-
-    if route == "duplicate":
-        return by_duplicate
-    if len(raised) == 1 and nu == config.n_legs - 1 + powers[raised[0]]:
-        leg = raised[0]
-        nu_k = powers[leg]
-        pref = (-1.0) ** (nu_k - 1) * gamma_fn(0.5 * (nu_k + 1.0)) / gamma_fn(nu_k)
-
-        def by_contour(mat):
-            shift = ShiftedSigma(mat, ShiftKind.SINGLE_DIAGONAL_MINUS_S, legs=(leg,))
-            c = choose_abscissa(shift, inner_settings)
-            f_unit = unit_contour_evaluator(shift, c, inner_settings.tighter(0.1))
-            scale = float(np.max(np.diag(mat)))
-            cs = QuadratureSettings(rel_tol=inner_settings.rel_tol,
-                                    abs_tol=inner_settings.abs_tol,
-                                    max_subdivisions=inner_settings.max_subdivisions,
-                                    contour_abscissa_c=c, contour_halfheight_T=8.0 * scale)
-            out = integrate_contour(lambda s: f_unit(s) / s ** (0.5 * (nu_k + 1.0)), cs,
-                                    scale=scale)
-            return pref * out.value
+    raised = tuple(i for i, p in enumerate(powers) if p > 1)
+    power = powers[raised[0]] if raised else 1
+    single = len(raised) == 1 and nu == N - 1 + power
+    pair = len(raised) == 2 and powers[raised[1]] == power and nu == N - 2 + 2 * power
+    if route != "duplicate" and (single or pair):
+        def by_contour(mats):
+            value, error, ok, inner_ok = _power_contour(mats, raised, power, inner_settings)
+            return value, error, ok & inner_ok
 
         return by_contour
-    if len(raised) == 2 and powers[raised[0]] == powers[raised[1]] \
-            and nu == config.n_legs - 2 + 2 * powers[raised[0]]:
-        k1, k2 = raised
-        v = powers[k1]
-        pref = 4.0 ** (1.0 - v) / gamma_fn(v)
-
-        def by_contour_pair(mat):
-            shift = ShiftedSigma(mat, ShiftKind.SINGLE_OFFDIAGONAL_INVARIANT_PLUS_4S,
-                                 legs=(k1, k2))
-            c = choose_abscissa(shift, inner_settings)
-            f_unit = unit_contour_evaluator(shift, c, inner_settings.tighter(0.1))
-            scale = float(np.max(np.diag(mat)))
-            cs = QuadratureSettings(rel_tol=inner_settings.rel_tol,
-                                    abs_tol=inner_settings.abs_tol,
-                                    max_subdivisions=inner_settings.max_subdivisions,
-                                    contour_abscissa_c=c, contour_halfheight_T=8.0 * scale)
-            out = integrate_contour(lambda s: f_unit(s) / s ** float(v), cs, scale=scale)
-            return pref * out.value
-
-        return by_contour_pair
-    return by_duplicate
+    return lambda mats: _integrable_duplicate_values(mats, powers, inner_settings)
 
 
 def eps_probe(config: KinematicConfig, eps_values=(0.02, 0.01),
@@ -779,13 +782,10 @@ def recurrence_check_lower(config: KinematicConfig,
     col = sigma[:-1, -1]
     corner = sigma[-1, -1]
 
-    def inner_value(t: float) -> complex:
-        mat = sub + t * (col[:, None] + col[None, :]) + t * t * corner
-        return evaluate_unit(mat, inner_dim, inner_settings).value
-
     def integrand(t):
-        t = np.atleast_1d(t)
-        vals = np.array([inner_value(float(ti)) for ti in t])
+        mats = sub + t[:, None, None] * (col[:, None] + col[None, :]) \
+            + (t * t)[:, None, None] * corner
+        vals = unit_values(mats, inner_dim, inner_settings)[0]
         return t ** (nu_last - 1.0) * (1.0 + t) ** (nu - n) * vals
 
     # Folded matrices degenerate towards perfect correlation at large t;
@@ -828,44 +828,41 @@ def recurrence_check_merge(config: KinematicConfig,
     beta = gamma_fn(p_a) * gamma_fn(p_b) / gamma_fn(p_a + p_b)
     inner_settings = settings.tighter(0.1)
 
-    def merged_sigma(u: float) -> np.ndarray:
-        keep = sigma[:-2, :-2]
+    def merged_sigma(u):
+        """Merged matrices for an array of u, shaped (len(u), N - 1, N - 1)."""
+        u = np.asarray(u, dtype=float)[:, None]
         row = u * sigma[:-2, -2] + (1.0 - u) * sigma[:-2, -1]
         corner = (u * u * sigma[-2, -2] + (1.0 - u) ** 2 * sigma[-1, -1]
-                  + 2.0 * u * (1.0 - u) * sigma[-2, -1])
-        out = np.empty((N - 1, N - 1))
-        out[:-1, :-1] = keep
-        out[-1, :-1] = row
-        out[:-1, -1] = row
-        out[-1, -1] = corner
+                  + 2.0 * u * (1.0 - u) * sigma[-2, -1])[:, 0]
+        out = np.empty((len(u), N - 1, N - 1))
+        out[:, :-1, :-1] = sigma[:-2, :-2]
+        out[:, -1, :-1] = row
+        out[:, :-1, -1] = row
+        out[:, -1, -1] = corner
         return out
 
     from .matrixops import cholesky
-    for u in np.linspace(0.0, 1.0, 21):
+    for mat in merged_sigma(np.linspace(0.0, 1.0, 21)):
         try:
-            cholesky(merged_sigma(float(u)))
+            cholesky(mat)
         except SingularMatrix:
             return math.nan, True
 
-    def inner_value(u: float) -> complex:
-        mat = merged_sigma(u)
-        if all(p == 1 for p in merged_powers):
-            return evaluate_unit(mat, n, inner_settings).value
-        masses = tuple(float(np.sqrt(mat[i, i])) for i in range(N - 1))
-        k2 = np.zeros((N - 1, N - 1))
-        for a in range(N - 1):
-            for b in range(a + 1, N - 1):
-                k2[a, b] = k2[b, a] = mat[a, a] + mat[b, b] - 2.0 * mat[a, b]
-        cfg = KinematicConfig(masses=masses, invariants=k2, powers=merged_powers,
-                              dimension=float(n))
-        if route == "duplicate":
-            return raise_power_duplicate(cfg, inner_settings).value
+    if route == "duplicate":
+        if n != sum(merged_powers):
+            raise ValidationError(f"duplicated-column route needs n = nu, got n={n}")
+
+        def inner_values(mats):
+            return _duplicate_values(mats, merged_powers, inner_settings)[0]
+    else:
         leg = int(np.argmax(merged_powers))
-        return raise_power_single(cfg, leg, inner_settings).value
+        nu_k = _single_raised_power(merged_powers, n, leg)
+
+        def inner_values(mats):
+            return _power_contour(mats, (leg,), nu_k, inner_settings)[0]
 
     def integrand(u):
-        u = np.atleast_1d(u)
-        vals = np.array([inner_value(float(ui)) for ui in u])
+        vals = inner_values(merged_sigma(u))
         w = np.ones_like(u)
         if p_a > 1:
             w = w * u ** (p_a - 1.0)

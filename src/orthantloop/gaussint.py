@@ -106,16 +106,19 @@ def i_pair_conditional(rho, pair: tuple[int, int], conditioned: int):
 
 
 def conditioned_correlation(rho: np.ndarray, k: int) -> np.ndarray:
-    """Partial-correlation matrix of all remaining legs given leg k."""
-    idx = [a for a in range(rho.shape[0]) if a != k]
-    sub = rho[np.ix_(idx, idx)]
-    col = rho[idx, k]
+    """Partial-correlation matrix of all remaining legs given leg k, for one
+    matrix or a stack of them (shape (..., d, d))."""
+    rho = np.asarray(rho)
+    idx = [a for a in range(rho.shape[-1]) if a != k]
+    sub = rho[..., idx, :][..., idx]
+    col = rho[..., idx, k]
     den = 1.0 - col ** 2
-    if np.min(np.abs(den)) < 1e-14:
+    if np.min(np.abs(den), initial=np.inf) < 1e-14:
         raise DegenerateConditioning(f"conditioning on leg {k} degenerate")
-    out = (sub - np.outer(col, col)) / np.sqrt(np.outer(den, den))
+    out = (sub - col[..., :, None] * col[..., None, :]) \
+        / np.sqrt(den[..., :, None] * den[..., None, :])
     if not np.iscomplexobj(out):
-        np.fill_diagonal(out, 1.0)
+        out[..., range(len(idx)), range(len(idx))] = 1.0
     return out
 
 

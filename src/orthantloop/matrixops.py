@@ -1,12 +1,14 @@
 """Small dense symmetric matrix numerics.
 
 Everything here is sized for matrices up to 9x9 (seven legs plus the two
-extra columns the duplicated-leg construction can add), so the routines are
-written out directly instead of deferring to a BLAS: LU with partial
-pivoting for determinants and inverses, an unpivoted Cholesky for
-positive-definite inputs, and cofactors either from the adjugate or, when
-the matrix is badly conditioned, from direct minor expansion.  All of them
-accept complex entries; the shifted-mass evaluators need that.
+extra columns the duplicated-leg construction can add).  Single matrices
+use routines written out directly: LU with partial pivoting for
+determinants and inverses, an unpivoted Cholesky for positive-definite
+inputs, and cofactors either from the adjugate or, when the matrix is badly
+conditioned, from direct minor expansion; all of them accept complex
+entries.  Stacks of matrices (the correlation data of every evaluated mass
+matrix, the inverses of the contour evaluators) go through numpy.linalg in
+one call per stack.
 """
 
 from __future__ import annotations
@@ -77,31 +79,12 @@ def inverse(a: np.ndarray):
 
 
 def inverse_batch(mats: np.ndarray) -> np.ndarray:
-    """Gauss-Jordan with partial pivoting, vectorized over a stack of small
-    matrices; the hot path of the contour evaluators."""
-    mats = np.asarray(mats)
-    B, n, _ = mats.shape
-    a = mats.astype(complex if np.iscomplexobj(mats) else float).copy()
-    inv = np.broadcast_to(np.eye(n, dtype=a.dtype), (B, n, n)).copy()
-    bi = np.arange(B)
-    for k in range(n):
-        p = k + np.argmax(np.abs(a[:, k:, k]), axis=1)
-        rowk = a[bi, k].copy()
-        a[bi, k] = a[bi, p]
-        a[bi, p] = rowk
-        rowk = inv[bi, k].copy()
-        inv[bi, k] = inv[bi, p]
-        inv[bi, p] = rowk
-        piv = a[:, k, k].copy()
-        if np.any(piv == 0):
-            raise SingularMatrix("zero pivot in batched inverse")
-        a[:, k] /= piv[:, None]
-        inv[:, k] /= piv[:, None]
-        factors = a[:, :, k].copy()
-        factors[:, k] = 0.0
-        a -= factors[:, :, None] * a[:, k][:, None, :]
-        inv -= factors[:, :, None] * inv[:, k][:, None, :]
-    return inv
+    """Inverses of a stack of small matrices (LAPACK through numpy); the hot
+    path of the contour evaluators."""
+    try:
+        return np.linalg.inv(np.asarray(mats))
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(f"singular matrix in batched inverse: {exc}") from exc
 
 
 def cholesky(a: np.ndarray) -> np.ndarray:
@@ -169,15 +152,65 @@ class CorrelationData:
         return self.r_matrix.sum(axis=1)
 
 
-def correlation_data(sigma: SigmaMatrix | np.ndarray, strict: bool = True) -> CorrelationData:
-    """All derived matrix quantities for one positive-definite mass matrix.
+def _rejections(sigmas: np.ndarray, strict: bool) -> tuple[np.ndarray, list]:
+    """Determinants of a stack of real mass matrices and, per matrix, why it
+    is rejected (None when it is accepted)."""
+    d = np.linalg.det(sigmas)
+    diag_prod = np.prod(np.diagonal(sigmas, axis1=-2, axis2=-1), axis=-1)
+    floor = 1e-12 * diag_prod if strict else np.full(len(d), 1e-150)
+    why = [None] * len(d)
+    for b in np.flatnonzero(np.abs(d) < floor):
+        why[b] = f"determinant {d[b]} below threshold for diag product {diag_prod[b]}"
+    for b in np.flatnonzero((d < 0.0) & (np.abs(d) >= floor)):
+        why[b] = "negative determinant: matrix is not positive definite"
+    kept = np.flatnonzero([w is None for w in why])
+    try:
+        np.linalg.cholesky(sigmas[kept])
+    except np.linalg.LinAlgError:
+        for b in kept:
+            try:
+                np.linalg.cholesky(sigmas[b])
+            except np.linalg.LinAlgError:
+                why[b] = "matrix is not positive definite"
+    return d, why
 
-    Raises SingularMatrix when |det| falls below 1e-12 times the product of
-    squared masses, or when the matrix is not positive definite.  Internal
-    callers evaluating deliberately regularized near-singular matrices pass
-    ``strict=False`` to drop the determinant floor (positive definiteness is
-    still required).
+
+def rejected(sigmas: np.ndarray, strict: bool = True) -> np.ndarray:
+    """Which matrices of a stack ``correlation_stack`` would refuse."""
+    return np.array([w is not None for w in _rejections(np.asarray(sigmas, dtype=float),
+                                                        strict)[1]], dtype=bool)
+
+
+def correlation_stack(sigmas: np.ndarray, strict: bool = True):
+    """Inverses, normalized correlations and determinants of a stack of real
+    positive-definite mass matrices, shaped (B, N, N), (B, N, N) and (B,).
+
+    Raises SingularMatrix when any |det| falls below 1e-12 times the
+    product of its squared masses, or any matrix is not positive definite.
+    Internal callers evaluating deliberately regularized near-singular
+    matrices pass ``strict=False`` to drop the determinant floor (positive
+    definiteness is still required).
     """
+    sigmas = np.asarray(sigmas, dtype=float)
+    if sigmas.ndim != 3:
+        raise ValueError(f"stack of square matrices expected, got shape {sigmas.shape}")
+    _check_size(sigmas[0])
+    d, why = _rejections(sigmas, strict)
+    for w in why:
+        if w is not None:
+            raise SingularMatrix(w)
+    r = inverse_batch(sigmas)
+    r = 0.5 * (r + np.swapaxes(r, -1, -2))
+    dd = np.sqrt(np.diagonal(r, axis1=-2, axis2=-1))
+    rho = r / (dd[:, :, None] * dd[:, None, :])
+    ii = np.arange(sigmas.shape[-1])
+    rho[:, ii, ii] = 1.0
+    return r, rho, d
+
+
+def correlation_data(sigma: SigmaMatrix | np.ndarray, strict: bool = True) -> CorrelationData:
+    """All derived matrix quantities for one positive-definite mass matrix:
+    ``correlation_stack`` of a stack of one, plus the cofactors."""
     if isinstance(sigma, SigmaMatrix):
         if sigma.pd_status is not PDStatus.POSITIVE_DEFINITE:
             raise SingularMatrix(f"mass matrix is {sigma.pd_status.value}, need positive definite")
@@ -185,22 +218,8 @@ def correlation_data(sigma: SigmaMatrix | np.ndarray, strict: bool = True) -> Co
     else:
         entries = np.asarray(sigma, dtype=float)
     _check_size(entries)
-    diag_prod = float(np.prod(np.diag(entries)))
-    d = float(np.real(det(entries)))
-    floor = 1e-12 * diag_prod if strict else 1e-150
-    if abs(d) < floor:
-        raise SingularMatrix(f"determinant {d} below threshold for diag product {diag_prod}")
-    if d < 0.0:
-        raise SingularMatrix("negative determinant: matrix is not positive definite")
-    try:
-        cholesky(entries)
-    except SingularMatrix as exc:
-        raise SingularMatrix(f"matrix is not positive definite: {exc}") from exc
-    r = np.real(inverse(entries))
-    r = 0.5 * (r + r.T)
-    dd = np.sqrt(np.diag(r))
-    rho = r / np.outer(dd, dd)
-    np.fill_diagonal(rho, 1.0)
+    r, rho, d = correlation_stack(entries[None], strict)
+    det_sigma = float(d[0])
     cof = np.real(cofactor_matrix(entries))
-    return CorrelationData(r_matrix=r, rho=rho, cofactors=cof,
-                           det_sigma=d, d_reduced=d / diag_prod)
+    return CorrelationData(r_matrix=r[0], rho=rho[0], cofactors=cof, det_sigma=det_sigma,
+                           d_reduced=det_sigma / float(np.prod(np.diag(entries))))

@@ -35,13 +35,14 @@ import numpy as np
 from .errors import SingularMatrix
 from .gaussint import conditioned_correlation, i_hex_batch, quartet_batch
 from .kinematics import KinematicConfig, build_sigma
-from .matrixops import correlation_data
+from .matrixops import correlation_stack
 from .quadrature import (
     DEFAULT_SETTINGS,
     IntegralValue,
     METHOD_CLOSED_FORM,
     METHOD_QUADRATURE,
     QuadratureSettings,
+    convergence,
 )
 
 
@@ -111,98 +112,104 @@ def orthant_probability(rho: np.ndarray,
     return OrthantProbability(out.value[0], out.abs_error[0], bool(out.converged[0]))
 
 
-def _inner_convergence(ok: bool) -> dict:
-    return {"converged": bool(ok), "flags": () if ok else ("inner_non_converged",)}
+def unit_values(sigmas: np.ndarray, n: float,
+                settings: QuadratureSettings = DEFAULT_SETTINGS, strict: bool = True):
+    """Unit-power N-point values at integer dimension n in {N, N-1} for a
+    stack of real positive-definite mass matrices, shaped (B, N, N).
 
-
-def _real_parts(sigma: np.ndarray, strict: bool = True):
-    data = correlation_data(sigma, strict=strict)
-    return data, 1.0 / math.sqrt(data.det_sigma)
+    Returns (values, errors, converged), one entry per matrix.  The
+    correlation data of the whole stack come from one set of numpy.linalg
+    calls and every orthant probability from one
+    ``orthant_probability_batch`` call; each inner integral still adapts on
+    its own, so a matrix's value does not depend on its stack neighbours.
+    Any matrix below the determinant floor or not positive definite raises
+    SingularMatrix for the whole stack; ``strict=False`` relaxes the floor
+    for internal regularized evaluations.  N = 2 at n = 2 uses the angle
+    form, which needs no positive definiteness.
+    """
+    sigmas = np.asarray(sigmas)
+    B, N = sigmas.shape[0], sigmas.shape[-1]
+    if N == 2 and n == 2:
+        values, errors = angle_form_values(sigmas)
+        return values, errors, np.ones(B, dtype=bool)
+    if n not in (N, N - 1):
+        raise ValueError(f"no direct assembly for N={N}, n={n}; use the dimension shifts")
+    r, rho, det = correlation_stack(sigmas, strict)
+    isd = 1.0 / np.sqrt(det)
+    if n == N:
+        p0 = orthant_probability_batch(rho, settings)
+        pref = (-1.0) ** N * 2.0 * math.pi ** (0.5 * N) * isd
+        return pref * p0.value + 0j, np.abs(pref) * p0.abs_error, p0.converged
+    # n = N - 1: row-sum weighted orthants with one leg integrated out.  Their
+    # roundoff floors carry over to the weighted sum, so even the closed forms
+    # (N <= 4) report a nonzero error.
+    conditioned = np.stack([conditioned_correlation(rho, k) for k in range(N)], axis=1)
+    p0 = orthant_probability_batch(conditioned.reshape(B * N, N - 1, N - 1), settings)
+    w = r.sum(axis=2) / np.sqrt(np.diagonal(r, axis1=1, axis2=2))
+    pref = (-1.0) ** N * math.pi ** (0.5 * (N - 1)) * isd
+    total = (w * p0.value.reshape(B, N)).sum(axis=1)
+    err = (np.abs(w) * p0.abs_error.reshape(B, N)).sum(axis=1)
+    return (pref * total + 0j, np.abs(pref) * err,
+            p0.converged.reshape(B, N).all(axis=1))
 
 
 def evaluate_unit(sigma: np.ndarray, n: float,
                   settings: QuadratureSettings = DEFAULT_SETTINGS,
                   strict: bool = True) -> IntegralValue:
     """Unit-power N-point value at integer dimension n in {N, N-1} for a
-    real positive-definite mass matrix (N = 2 also supports the angle form
-    at n = 2, which this dispatches to transparently).  ``strict=False``
-    relaxes the determinant floor for internal regularized evaluations."""
+    real positive-definite mass matrix: ``unit_values`` of a stack of one
+    (N = 2 at n = 2 is the angle form)."""
     sigma = np.asarray(sigma)
     N = sigma.shape[0]
-    if N == 2 and n == 2:
-        return two_point_angle_form(sigma)
-    if n == N:
-        data, isd = _real_parts(sigma, strict)
-        p0 = orthant_probability(data.rho, settings)
-        pref = (-1.0) ** N * 2.0 * math.pi ** (0.5 * N) * isd
-        method = METHOD_CLOSED_FORM if N <= 3 else METHOD_QUADRATURE
-        return IntegralValue(value=complex(pref * p0.value),
-                             abs_error=float(abs(pref) * p0.abs_error),
-                             method=method, **_inner_convergence(p0.converged))
-    if n == N - 1:
-        return rowsum_value(sigma, settings, strict=strict)
-    raise ValueError(f"no direct assembly for N={N}, n={n}; use the dimension shifts")
+    values, errors, ok = unit_values(sigma[None], n, settings, strict)
+    closed = N <= 3 or (N == 4 and n == 3)
+    return IntegralValue(value=complex(values[0]), abs_error=float(errors[0]),
+                         method=METHOD_CLOSED_FORM if closed else METHOD_QUADRATURE,
+                         **convergence(inner_ok=bool(ok[0])))
 
 
 def rowsum_value(sigma: np.ndarray, settings: QuadratureSettings = DEFAULT_SETTINGS,
                  strict: bool = True) -> IntegralValue:
-    """Unit powers at n = N - 1: row-sum weighted conditioned orthants.
+    """Unit powers at n = N - 1: row-sum weighted conditioned orthants,
 
-    The N conditioned orthants are one batch; their roundoff floors carry
-    over to the weighted sum, so even the closed forms (N <= 4) report a
-    nonzero error.
+        J = (-1)**N * pi**((N-1)/2) / sqrt(det)
+            * sum_k rowsum_k / sqrt(R_kk) * P0(rho | leg k integrated out).
     """
     sigma = np.asarray(sigma)
-    N = sigma.shape[0]
-    data, isd = _real_parts(sigma, strict)
-    r = data.r_matrix
-    rho = data.rho
-    p0 = orthant_probability_batch(
-        np.stack([conditioned_correlation(rho, k) for k in range(N)]), settings)
-    total = 0.0
-    err = 0.0
-    for k in range(N):
-        w = float(r[k].sum()) / math.sqrt(r[k, k])
-        total += w * p0.value[k]
-        err += abs(w) * p0.abs_error[k]
-    pref = (-1.0) ** N * math.pi ** (0.5 * (N - 1)) * isd
-    method = METHOD_CLOSED_FORM if N <= 4 else METHOD_QUADRATURE
-    return IntegralValue(value=complex(pref * total), abs_error=float(abs(pref) * err),
-                         method=method, **_inner_convergence(np.all(p0.converged)))
+    return evaluate_unit(sigma, sigma.shape[0] - 1, settings, strict)
+
+
+def angle_form_values(sigmas: np.ndarray):
+    """tau / (m1 m2 sin tau) for a stack of 2x2 matrices, valid on both
+    continuation branches: (values, errors).  The pseudothreshold limit
+    tau -> 0 gives 1/(m1 m2); the threshold tau -> pi is a genuine
+    singularity."""
+    sigmas = np.asarray(sigmas)
+    mm = np.sqrt(sigmas[:, 0, 0]) * np.sqrt(sigmas[:, 1, 1])
+    c = sigmas[:, 0, 1] / mm
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if np.iscomplexobj(sigmas):
+            tau = np.arccos(c.astype(complex))
+            small = np.abs(tau) < 1e-8
+            values = np.where(small, (1.0 + np.abs(tau) ** 2 / 6.0) / mm, tau / (mm * np.sin(tau)))
+        else:
+            if np.any(np.abs(c + 1.0) <= 1e-12):
+                raise SingularMatrix("two-point function diverges at threshold (c = -1)")
+            inside = np.arccos(np.clip(c, -1.0, 1.0))
+            theta = np.arccosh(np.maximum(c, 1.0))
+            below = math.pi + 1j * np.arccosh(np.maximum(-c, 1.0))
+            values = np.select(
+                [np.abs(c - 1.0) <= 1e-12, np.abs(c) < 1.0, c > 1.0],
+                [1.0 / mm, inside / (mm * np.sin(inside)), theta / (mm * np.sinh(theta))],
+                below / (mm * np.sin(below))).astype(complex)
+    return values, 5e-15 * np.abs(values)
 
 
 def two_point_angle_form(sigma: np.ndarray) -> IntegralValue:
-    """tau / (m1 m2 sin tau), valid on both continuation branches; the
-    pseudothreshold limit tau -> 0 gives 1/(m1 m2), the threshold tau -> pi
-    is a genuine singularity."""
-    sigma = np.asarray(sigma)
-    mm = np.sqrt(sigma[0, 0]) * np.sqrt(sigma[1, 1])
-    c = sigma[0, 1] / mm
-    if np.iscomplexobj(sigma):
-        tau = np.arccos(complex(c))
-        s = np.sin(tau)
-        if abs(tau) < 1e-8:
-            value = (1.0 + abs(tau) ** 2 / 6.0) / mm
-        else:
-            value = tau / (mm * s)
-        return IntegralValue(value=complex(value), abs_error=5e-15 * abs(value),
-                             method=METHOD_CLOSED_FORM)
-    c = float(c)
-    if abs(c - 1.0) <= 1e-12:
-        return IntegralValue(value=complex(1.0 / mm), abs_error=5e-15 / mm,
-                             method=METHOD_CLOSED_FORM)
-    if abs(c + 1.0) <= 1e-12:
-        raise SingularMatrix("two-point function diverges at threshold (c = -1)")
-    if -1.0 < c < 1.0:
-        tau = math.acos(c)
-        value = complex(tau / (mm * math.sin(tau)))
-    elif c > 1.0:
-        theta = math.acosh(c)
-        value = complex(theta / (mm * math.sinh(theta)))
-    else:
-        tau = math.pi + 1j * math.acosh(-c)
-        value = tau / (mm * np.sin(tau))
-    return IntegralValue(value=complex(value), abs_error=5e-15 * abs(value),
+    """The angle form of one 2x2 matrix: ``angle_form_values`` of a stack of
+    one."""
+    values, errors = angle_form_values(np.asarray(sigma)[None])
+    return IntegralValue(value=complex(values[0]), abs_error=float(errors[0]),
                          method=METHOD_CLOSED_FORM)
 
 

@@ -18,7 +18,7 @@ On top of them sit the unit-interval rule (with an optional sine
 substitution for arcsine-type endpoint weights), the half-line rule through
 a rational or exponential map, and a truncated vertical-contour rule for
 inverse Laplace transforms with adaptive height doubling and a
-measured-ratio tail estimate.
+measured-ratio tail estimate, which runs a stack of contours as rows.
 """
 
 from __future__ import annotations
@@ -291,12 +291,19 @@ def _gk_rows(f, lo, hi, rows):
     return tuple(np.concatenate(q) for q in zip(*parts))
 
 
+def convergence(ok: bool = True, inner_ok: bool = True) -> dict:
+    """``converged`` and ``flags`` of an IntegralValue whose own quadrature
+    converged (``ok``) and whose inner evaluations all converged
+    (``inner_ok``)."""
+    flags = (() if ok else ("non_converged",)) + (() if inner_ok else ("inner_non_converged",))
+    return {"converged": bool(ok and inner_ok), "flags": flags}
+
+
 def _scalar_result(value, err, converged, method=METHOD_QUADRATURE) -> IntegralValue:
     v = np.asarray(value).reshape(-1)
     e = np.asarray(err).reshape(-1)
-    flags = () if converged else ("non_converged",)
     return IntegralValue(value=complex(v[0]), abs_error=float(e[0]), method=method,
-                         converged=bool(converged), flags=flags)
+                         **convergence(bool(converged)))
 
 
 def integrate_01(f, settings: QuadratureSettings = DEFAULT_SETTINGS,
@@ -341,88 +348,102 @@ def integrate_0inf(f, settings: QuadratureSettings = DEFAULT_SETTINGS) -> Integr
     return _scalar_result(value, err, ok)
 
 
+def contour_rows(f, c, T0, settings: QuadratureSettings = DEFAULT_SETTINGS, *,
+                 reflect: bool = True, max_strips: int = 48):
+    """(1/2*pi*i) times the integral of ``f`` along Re(s) = c[b], truncated,
+    for a stack of independent rows b.
+
+    ``f(s, rows)`` receives complex nodes ``s`` shaped (len(rows), k) for
+    the row indices ``rows`` (a row may appear more than once) and returns
+    the integrand values in the same shape.  Each row keeps its own abscissa
+    ``c[b]``, first height ``T0[b]`` and tail test: its height grows in
+    octaves [T, 2T] until the newest strip plus a geometric tail estimate
+    (ratio measured from its last two strips) drops below tolerance.  Every
+    strip maps onto [0, 1] and runs on ``adaptive_rows``, so a row's panels
+    do not depend on its stack neighbours; a strip that exhausts its panel
+    budget (oscillatory e**(s*x) factors) is retried as eight uniform
+    sub-strips, up to three times.  With ``reflect`` the integrand is
+    assumed to satisfy f(conj(s)) = conj(f(s)), so only the upper half is
+    evaluated and the result is real.  Returns (value, error, converged)
+    per row; raises TailDominates when the tail of any row refuses to decay.
+    """
+    c = np.asarray(c, dtype=float)
+    T0 = np.asarray(T0, dtype=float)
+    B = len(c)
+    tol = (settings.rel_tol, settings.abs_tol, settings.max_subdivisions)
+
+    def segment(rows, lo, hi):
+        owner, plo, phi = rows, lo, hi
+        if not reflect:
+            owner, plo, phi = np.tile(rows, 2), np.concatenate([lo, -hi]), np.concatenate([hi, -lo])
+        depth = np.zeros(len(owner), dtype=int)
+        sv = np.zeros(B, dtype=complex)
+        se = np.zeros(B)
+        sok = np.ones(B, dtype=bool)
+        while len(owner):
+            width = phi - plo
+
+            def g(u, idx):
+                t = plo[idx, None] + width[idx, None] * u
+                return width[idx, None] * np.asarray(f(c[owner[idx], None] + 1j * t, owner[idx]))
+
+            v, e, ok, _ = adaptive_rows(g, 0.0, 1.0, len(owner), *tol)
+            retry = ~ok & (depth < 3)
+            done = ~retry
+            np.add.at(sv, owner[done], v[done])
+            np.add.at(se, owner[done], e[done])
+            sok[owner[done & ~ok]] = False
+            edges = np.linspace(plo[retry], phi[retry], 9, axis=1)
+            owner, depth = np.repeat(owner[retry], 8), np.repeat(depth[retry] + 1, 8)
+            plo, phi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+        return sv[rows], se[rows], sok[rows]
+
+    value, err, ok = segment(np.arange(B), np.zeros(B), T0)
+    last = np.zeros(B)
+    prev = np.zeros(B)
+    strips = np.zeros(B, dtype=int)
+    tail = np.full(B, math.inf)
+    converged_tail = np.zeros(B, dtype=bool)
+    lo, hi = T0.copy(), 2.0 * T0
+    for _ in range(max_strips):
+        bound = np.maximum(settings.abs_tol * 2.0 * math.pi, settings.rel_tol * np.abs(value))
+        checked = strips > 0
+        ratio = np.where((strips >= 2) & (prev > 0),
+                         np.minimum(last / np.where(prev > 0, prev, 1.0), 0.95), 0.5)
+        tail = np.where(checked, np.where(last > 0, last * ratio / (1.0 - ratio), 0.0), tail)
+        converged_tail |= checked & (last <= bound) & (tail <= bound)
+        rows = np.flatnonzero(~converged_tail)
+        if not len(rows):
+            break
+        sv, se, sok = segment(rows, lo[rows], hi[rows])
+        value[rows] += sv
+        err[rows] += se
+        ok[rows] &= sok
+        prev[rows], last[rows] = last[rows], np.abs(sv)
+        strips[rows] += 1
+        lo[rows], hi[rows] = hi[rows], 2.0 * hi[rows]
+    for b in np.flatnonzero(~converged_tail):
+        if not math.isfinite(tail[b]) \
+                or tail[b] > 10.0 * settings.rel_tol * max(abs(value[b]), settings.abs_tol):
+            raise TailDominates(
+                f"contour tail estimate {tail[b]} exceeds 10x tolerance at height {lo[b]}")
+    err = err + np.where(np.isfinite(tail), tail, 0.0)
+    if reflect:
+        return np.real(value) / math.pi + 0j, err / math.pi, ok & converged_tail
+    return value / (2.0 * math.pi), err / (2.0 * math.pi), ok & converged_tail
+
+
 def integrate_contour(f, settings: QuadratureSettings = DEFAULT_SETTINGS, *,
                       scale: float = 1.0, reflect: bool = True,
                       max_strips: int = 48) -> IntegralValue:
-    """(1/2*pi*i) times the integral of ``f`` along Re(s) = c, truncated.
-
-    The height grows in octaves [T, 2T] until the newest strip plus a
-    geometric tail estimate (ratio measured from the last two strips) drops
-    below tolerance.  With ``reflect`` the integrand is assumed to satisfy
-    f(conj(s)) = conj(f(s)), so only the upper half is evaluated and the
-    result is real.  Raises TailDominates when the tail refuses to decay.
-    """
+    """(1/2*pi*i) times the integral of ``f`` along Re(s) = c, truncated:
+    ``contour_rows`` with one row.  The abscissa and first height default
+    to ``scale`` and ``8 * scale``."""
     c = settings.contour_abscissa_c
     if c is None:
         c = 1.0 * scale
     T0 = settings.contour_halfheight_T or 8.0 * scale
-
-    def g(t):
-        return np.asarray(f(c + 1j * np.asarray(t)))
-
-    strip_settings = (settings.rel_tol, settings.abs_tol, settings.max_subdivisions)
-
-    def one_side(lo, hi):
-        # Oscillatory strips (e**(s*x) factors) can exhaust the panel budget;
-        # retry with uniform pre-splits before giving up.
-        work = [(lo, hi, 0)]
-        sv = np.zeros(1, dtype=complex)
-        se = np.zeros(1)
-        sok = True
-        while work:
-            wlo, whi, depth = work.pop()
-            v, e, ok_, _ = adaptive_batch(g, wlo, whi, *strip_settings)
-            if not ok_ and depth < 3:
-                edges = np.linspace(wlo, whi, 9)
-                work.extend((edges[i], edges[i + 1], depth + 1) for i in range(8))
-                continue
-            sv = sv + np.atleast_1d(v)
-            se = se + np.atleast_1d(np.asarray(e, dtype=float))
-            sok = sok and ok_
-        return sv, se, sok
-
-    def segment(lo, hi):
-        sv, se, sok = one_side(lo, hi)
-        if not reflect:
-            sv2, se2, sok2 = one_side(-hi, -lo)
-            sv, se, sok = sv + sv2, se + se2, sok and sok2
-        return sv.astype(complex), se, sok
-
-    value, err, ok = segment(0.0, T0)
-    contributions = []
-    lo, hi = T0, 2.0 * T0
-    converged_tail = False
-    tail = math.inf
-    for _ in range(max_strips):
-        sval = np.abs(value)[0]
-        bound = max(settings.abs_tol * 2.0 * math.pi, settings.rel_tol * sval)
-        if contributions:
-            last = contributions[-1]
-            if len(contributions) >= 2 and contributions[-2] > 0:
-                ratio = min(last / contributions[-2], 0.95)
-            else:
-                ratio = 0.5
-            tail = last * ratio / (1.0 - ratio) if last > 0 else 0.0
-            if last <= bound and tail <= bound:
-                converged_tail = True
-                break
-        sv, se, sok = segment(lo, hi)
-        value = value + sv
-        err = err + se
-        ok = ok and sok
-        contributions.append(float(np.abs(sv)[0]))
-        lo, hi = hi, 2.0 * hi
-    if not converged_tail:
-        sval = np.abs(value)[0]
-        if not math.isfinite(tail) or tail > 10.0 * settings.rel_tol * max(sval, settings.abs_tol):
-            raise TailDominates(
-                f"contour tail estimate {tail} exceeds 10x tolerance at height {lo}")
-    if reflect:
-        out = complex(np.real(value[0]) / math.pi)
-        out_err = (float(err[0]) + (0.0 if not math.isfinite(tail) else tail)) / math.pi
-    else:
-        out = complex(value[0] / (2.0 * math.pi))
-        out_err = (float(err[0]) + (0.0 if not math.isfinite(tail) else tail)) / (2.0 * math.pi)
-    return IntegralValue(value=out, abs_error=out_err, method=METHOD_CONTOUR,
-                         converged=bool(ok and converged_tail),
-                         flags=() if (ok and converged_tail) else ("non_converged",))
+    value, err, ok = contour_rows(lambda s, rows: np.asarray(f(s.ravel())).reshape(s.shape),
+                                  [c], [T0], settings,
+                                  reflect=reflect, max_strips=max_strips)
+    return _scalar_result(value, err, ok[0], METHOD_CONTOUR)

@@ -322,3 +322,32 @@ def test_eps_series_validation():
     with pytest.raises(ValidationError):
         EpsSeries(d_base=6, k_shift=0.5,
                   coefficients=(IntegralValue(1.0, 0.0),), order=2)
+
+
+def test_stacked_power_contour_matches_single_routes(rng):
+    from orthantloop.dimshift import _power_contour
+
+    bases = [random_interior_config(rng, 4) for _ in range(3)]
+    for powers, legs in (((3, 1, 1, 1), (0,)), ((1, 2, 1, 2), (1, 3))):
+        cfgs = [KinematicConfig(b.masses, np.array(b.invariants), powers, sum(powers))
+                for b in bases]
+        stack = np.stack([build_sigma(c).entries for c in cfgs])
+        values, errors, ok, inner_ok = _power_contour(stack, legs, powers[legs[0]], FAST)
+        assert np.all(ok) and np.all(inner_ok)
+        for b, cfg in enumerate(cfgs):
+            one = (raise_power_single(cfg, legs[0], FAST) if len(legs) == 1
+                   else raise_power_pair(cfg, legs, FAST))
+            assert one.converged
+            assert abs(one.value - values[b]) <= errors[b] + one.abs_error
+
+
+def test_shift_routes_report_inner_non_convergence():
+    starved = QuadratureSettings(max_subdivisions=1)
+    down = lower_dimension(random_interior_config(np.random.default_rng(3), 5, n=4), starved)
+    assert not down.converged
+    assert "inner_non_converged" in down.flags
+    up = raise_dimension(random_interior_config(np.random.default_rng(3), 5, n=6), starved)
+    assert not up.converged
+    assert "inner_non_converged" in up.flags
+    assert raise_dimension(random_interior_config(np.random.default_rng(3), 5, n=6),
+                           FAST).flags == ()

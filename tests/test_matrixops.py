@@ -142,3 +142,10 @@ def test_cofactor_fallback_near_degenerate():
     a = np.array([[1.0, 1.0 - eps], [1.0 - eps, 1.0]])
     cof = cofactor_matrix(a)
     assert np.allclose(cof, [[1.0, -(1.0 - eps)], [-(1.0 - eps), 1.0]], atol=1e-12)
+
+
+def test_inverse_batch_maps_singular_to_singular_matrix(rng):
+    mats = rng.normal(size=(3, 4, 4)) + 4 * np.eye(4)
+    mats[1, 2] = 0.0
+    with pytest.raises(SingularMatrix):
+        inverse_batch(mats)

@@ -19,6 +19,7 @@ from orthantloop.npoint import (
     orthant_probability,
     orthant_probability_batch,
     two_point_angle_form,
+    unit_values,
 )
 from orthantloop.oracle import MCSettings, feynman_oracle, orthant_mc
 from orthantloop.quadrature import QuadratureSettings
@@ -232,3 +233,47 @@ def test_two_point_angle_form_complex():
     mm = np.sqrt(sigma[0, 0]) * np.sqrt(sigma[1, 1])
     tau = np.arccos(sigma[0, 1] / mm)
     assert out.value == pytest.approx(tau / (mm * np.sin(tau)), rel=1e-12)
+
+
+def _near_floor(N: int, above: float = 2.0) -> np.ndarray:
+    """Equicorrelated mass matrix whose reduced determinant sits ``above``
+    times over the strict floor of 1e-12."""
+    # det = (1 - c)**(N - 1) * (1 + (N - 1) * c) with unit masses
+    gap = (above * 1e-12 / N) ** (1.0 / (N - 1))
+    sigma = np.full((N, N), 1.0 - gap)
+    np.fill_diagonal(sigma, 1.0)
+    return sigma
+
+
+def test_unit_values_match_single_evaluations(rng):
+    for N in range(3, 8):
+        stack = np.stack([build_sigma(random_interior_config(rng, N)).entries
+                          for _ in range(2)] + [_near_floor(N)])
+        for n in (N, N - 1):
+            values, errors, ok = unit_values(stack, n)
+            assert values.shape == errors.shape == ok.shape == (3,)
+            for b in range(3):
+                one = evaluate_unit(stack[b], n)
+                assert one.converged == ok[b]
+                assert abs(one.abs_error - errors[b]) <= 4 * np.spacing(errors[b])
+                assert abs(one.value - values[b]) <= errors[b]
+                # near the floor, 1/sqrt(det) magnifies last-bit differences
+                # of the orthant terms beyond the ulps of the value
+                if b < 2:
+                    assert abs(one.value - values[b]) <= 4 * np.spacing(abs(values[b]))
+
+
+def test_unit_values_reject_a_stack_with_one_bad_matrix(rng):
+    good = build_sigma(random_interior_config(rng, 4)).entries
+    indefinite = np.array([[1.0, 0.0, 2.0, 0.0], [0.0, 1.0, 2.0, 0.0],
+                           [2.0, 2.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    with pytest.raises(SingularMatrix):
+        evaluate_unit(indefinite, 4)
+    for n in (4, 3):
+        with pytest.raises(SingularMatrix):
+            unit_values(np.stack([good, indefinite, good]), n)
+    below = _near_floor(4, above=0.5)
+    with pytest.raises(SingularMatrix):
+        unit_values(np.stack([good, below]), 4)
+    values, _, _ = unit_values(np.stack([good, below]), 4, strict=False)
+    assert np.all(np.isfinite(values))

@@ -8,6 +8,7 @@ from orthantloop.quadrature import (
     QuadratureSettings,
     adaptive_batch,
     adaptive_rows,
+    contour_rows,
     integrate_01,
     integrate_0inf,
     integrate_contour,
@@ -162,3 +163,25 @@ def test_tail_dominates_raises():
                                   contour_abscissa_c=1.0, contour_halfheight_T=4.0)
     with pytest.raises(TailDominates):
         integrate_contour(lambda s: 1.0 / np.sqrt(s), settings, max_strips=12)
+
+
+def test_contour_rows_independent_of_stack():
+    # exp(a s) / s**2 inverts to a for a > 0; each row has its own abscissa,
+    # first height and tail test
+    rates = np.array([1.0, 2.0, 0.5])
+    abscissae = np.array([1.0, 2.0, 0.7])
+    heights = np.array([8.0, 8.0, 4.0])
+
+    def f(s, rows):
+        return np.exp(rates[rows][:, None] * s) / s ** 2
+
+    val, err, ok = contour_rows(f, abscissae, heights, CONTOUR_SETTINGS)
+    assert np.all(ok)
+    assert np.all(np.abs(val - rates) <= err + 1e-6)
+    for r in range(3):
+        one = integrate_contour(
+            lambda s: np.exp(rates[r] * s) / s ** 2,
+            QuadratureSettings(rel_tol=1e-7, abs_tol=1e-11, contour_abscissa_c=abscissae[r],
+                               contour_halfheight_T=heights[r]))
+        assert abs(one.value - val[r]) <= 4 * np.spacing(abs(val[r]))
+        assert abs(one.abs_error - err[r]) <= 4 * np.spacing(err[r])
