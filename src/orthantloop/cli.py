@@ -229,6 +229,10 @@ def emit(records: list[dict], fmt: str, stream) -> None:
         stream.write("  ".join(f"{k}={v}" for k, v in rec.items()) + "\n")
 
 
+def _convergence_fields(result) -> dict:
+    return {"converged": bool(result.converged), "flags": list(result.flags)}
+
+
 def _value_record(config, result) -> dict:
     return {
         "N": config.n_legs,
@@ -238,6 +242,7 @@ def _value_record(config, result) -> dict:
         "value_im": _fmt(np.imag(result.value)),
         "abs_error": _fmt(result.abs_error),
         "method": result.method,
+        **_convergence_fields(result),
     }
 
 
@@ -260,6 +265,7 @@ def cmd_expand(config, eps_order, mom, args, settings, mc) -> list[dict]:
             "value_re": _fmt(np.real(coeff.value)),
             "value_im": _fmt(np.imag(coeff.value)),
             "abs_error": _fmt(coeff.abs_error),
+            **_convergence_fields(coeff),
         })
     return out
 

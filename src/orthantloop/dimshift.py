@@ -36,7 +36,7 @@ from scipy.special import digamma, gamma as gamma_fn, polygamma
 
 from .errors import AssemblyLimit, DivergentIntegral, SingularMatrix, ValidationError
 from .kinematics import KinematicConfig, build_sigma
-from .matrixops import inverse_batch, rejected
+from .matrixops import cholesky, inverse_batch, rejected
 from .npoint import angle_form_values, evaluate_unit, orthant_probability_batch, unit_values
 from .quadrature import (
     DEFAULT_SETTINGS,
@@ -360,13 +360,6 @@ class _ShiftedFamily:
             return out, True
         out[near], _, ok = self.inner(self.sigma + xs[near, None, None])
         return out, bool(np.all(ok))
-
-    def value(self, x: float) -> complex:
-        """The family at one shift, for an ``inner`` that maps one matrix to
-        its value."""
-        if x <= self.x_switch:
-            return self.inner(self.sigma + x)
-        return complex(self._series(np.array([x]))[0])
 
     def tail_integral(self, k: float, j: int):
         """Closed form of int_X^inf x**(k-1) log(x)**j * asymptotic(x) dx and
@@ -841,12 +834,10 @@ def recurrence_check_merge(config: KinematicConfig,
         out[:, -1, -1] = corner
         return out
 
-    from .matrixops import cholesky
-    for mat in merged_sigma(np.linspace(0.0, 1.0, 21)):
-        try:
-            cholesky(mat)
-        except SingularMatrix:
-            return math.nan, True
+    try:
+        cholesky(merged_sigma(np.linspace(0.0, 1.0, 21)))
+    except SingularMatrix:
+        return math.nan, True
 
     if route == "duplicate":
         if n != sum(merged_powers):

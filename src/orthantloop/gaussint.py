@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateConditioning, NonPositiveDiagonal, OutOfRange
+from .errors import DegenerateConditioning, NonPositiveDiagonal, OutOfRange, SingularMatrix
+from .matrixops import cholesky
 from .quadrature import (
     DEFAULT_SETTINGS,
     IntegralValue,
@@ -362,9 +363,6 @@ def homotopy_continuity_check(rho_complex: np.ndarray, evaluator, steps: int = 8
     ``evaluator`` maps a correlation matrix to a complex number (for example
     a wrapped i_quad or i_hex).  Returns True when the walk looks continuous.
     """
-    from .matrixops import cholesky
-    from .errors import SingularMatrix
-
     target = np.asarray(rho_complex, dtype=complex)
     start = np.real(target)
     # Shrink the real part toward the identity until it is a valid SPD

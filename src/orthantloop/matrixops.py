@@ -1,14 +1,12 @@
-"""Small dense symmetric matrix numerics.
+"""Small dense symmetric matrix numerics on top of numpy.linalg.
 
 Everything here is sized for matrices up to 9x9 (seven legs plus the two
-extra columns the duplicated-leg construction can add).  Single matrices
-use routines written out directly: LU with partial pivoting for
-determinants and inverses, an unpivoted Cholesky for positive-definite
-inputs, and cofactors either from the adjugate or, when the matrix is badly
-conditioned, from direct minor expansion; all of them accept complex
-entries.  Stacks of matrices (the correlation data of every evaluated mass
-matrix, the inverses of the contour evaluators) go through numpy.linalg in
-one call per stack.
+extra columns the duplicated-leg construction can add).  The method needs
+only inverses, determinants and positive-definiteness checks, so every
+routine is one numpy.linalg call on a matrix or a whole stack of them, with
+``LinAlgError`` mapped to ``SingularMatrix``.  What is added on top are the
+evaluation checks (size limit, determinant floor, sign of the determinant)
+and the correlations of the inverse mass matrix.
 """
 
 from __future__ import annotations
@@ -22,65 +20,19 @@ from .kinematics import SigmaMatrix, PDStatus
 
 MAX_SIZE = 9
 
-# Conditioning beyond this switches cofactor evaluation to minor expansion.
-COND_SWITCH = 1e8
-
 
 def _check_size(a: np.ndarray):
-    n = a.shape[0]
-    if a.ndim != 2 or a.shape[1] != n:
+    """A square matrix, or a stack of them, of at most MAX_SIZE rows."""
+    n = a.shape[-1]
+    if a.ndim < 2 or a.shape[-2] != n:
         raise ValueError(f"square matrix expected, got shape {a.shape}")
     if n > MAX_SIZE:
         raise IndexOutOfRange(f"matrix size {n} exceeds the supported maximum {MAX_SIZE}")
 
 
-def lu_factor(a: np.ndarray):
-    """LU with partial pivoting. Returns (lu, piv, parity)."""
-    _check_size(a)
-    lu = np.array(a, dtype=complex if np.iscomplexobj(a) else float)
-    n = lu.shape[0]
-    piv = np.arange(n)
-    parity = 1
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            piv[[k, p]] = piv[[p, k]]
-            parity = -parity
-        if lu[k, k] == 0:
-            continue
-        lu[k + 1:, k] /= lu[k, k]
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return lu, piv, parity
-
-
-def det(a: np.ndarray):
-    lu, _, parity = lu_factor(a)
-    return parity * np.prod(np.diag(lu))
-
-
-def solve(a: np.ndarray, b: np.ndarray):
-    lu, piv, _ = lu_factor(a)
-    n = lu.shape[0]
-    if np.any(np.diag(lu) == 0):
-        raise SingularMatrix("zero pivot in LU solve")
-    x = np.array(b, dtype=lu.dtype)[piv]
-    for k in range(n):        # forward, unit lower triangle
-        x[k + 1:] -= np.outer(lu[k + 1:, k], x[k]) if x.ndim > 1 else lu[k + 1:, k] * x[k]
-    for k in range(n - 1, -1, -1):  # backward
-        x[k] /= lu[k, k]
-        if k:
-            x[:k] -= np.outer(lu[:k, k], x[k]) if x.ndim > 1 else lu[:k, k] * x[k]
-    return x
-
-
-def inverse(a: np.ndarray):
-    return solve(a, np.eye(a.shape[0]))
-
-
 def inverse_batch(mats: np.ndarray) -> np.ndarray:
-    """Inverses of a stack of small matrices (LAPACK through numpy); the hot
-    path of the contour evaluators."""
+    """Inverse of a small matrix, or of each matrix of a stack (LAPACK
+    through numpy); the hot path of the contour evaluators."""
     try:
         return np.linalg.inv(np.asarray(mats))
     except np.linalg.LinAlgError as exc:
@@ -88,44 +40,15 @@ def inverse_batch(mats: np.ndarray) -> np.ndarray:
 
 
 def cholesky(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a real positive-definite matrix."""
+    """Lower Cholesky factor of a real positive-definite matrix, or of each
+    matrix of a stack; raises SingularMatrix when any is not positive
+    definite."""
+    a = np.asarray(a)
     _check_size(a)
-    n = a.shape[0]
-    L = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1):
-            s = a[i, j] - L[i, :j] @ L[j, :j]
-            if i == j:
-                if s <= 0.0:
-                    raise SingularMatrix(f"non-positive pivot {s} at index {i}")
-                L[i, i] = np.sqrt(s)
-            else:
-                L[i, j] = s / L[j, j]
-    return L
-
-
-def minor(a: np.ndarray, i: int, j: int):
-    return np.delete(np.delete(a, i, axis=0), j, axis=1)
-
-
-def cofactor_matrix_by_minors(a: np.ndarray):
-    n = a.shape[0]
-    c = np.empty((n, n), dtype=complex if np.iscomplexobj(a) else float)
-    for i in range(n):
-        for j in range(n):
-            c[i, j] = (-1) ** (i + j) * det(minor(a, i, j))
-    return c
-
-
-def cofactor_matrix(a: np.ndarray):
-    """Cofactor matrix, via det * inverse unless conditioning is poor."""
-    d = det(a)
-    if d != 0:
-        inv = inverse(a)
-        cond = np.max(np.sum(np.abs(a), axis=1)) * np.max(np.sum(np.abs(inv), axis=1))
-        if cond < COND_SWITCH:
-            return (d * inv).T
-    return cofactor_matrix_by_minors(a)
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(f"matrix is not positive definite: {exc}") from exc
 
 
 def delete_index(matrix: np.ndarray, i: int) -> np.ndarray:
@@ -138,12 +61,11 @@ def delete_index(matrix: np.ndarray, i: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CorrelationData:
-    """Inverse, normalized correlations, cofactors and determinants of a
+    """Inverse, normalized correlations and determinants of a
     positive-definite mass matrix."""
 
     r_matrix: np.ndarray     # inverse of the mass matrix
     rho: np.ndarray          # correlations of r_matrix, unit diagonal
-    cofactors: np.ndarray
     det_sigma: float
     d_reduced: float         # det / prod(masses**2)
 
@@ -194,7 +116,7 @@ def correlation_stack(sigmas: np.ndarray, strict: bool = True):
     sigmas = np.asarray(sigmas, dtype=float)
     if sigmas.ndim != 3:
         raise ValueError(f"stack of square matrices expected, got shape {sigmas.shape}")
-    _check_size(sigmas[0])
+    _check_size(sigmas)
     d, why = _rejections(sigmas, strict)
     for w in why:
         if w is not None:
@@ -210,7 +132,7 @@ def correlation_stack(sigmas: np.ndarray, strict: bool = True):
 
 def correlation_data(sigma: SigmaMatrix | np.ndarray, strict: bool = True) -> CorrelationData:
     """All derived matrix quantities for one positive-definite mass matrix:
-    ``correlation_stack`` of a stack of one, plus the cofactors."""
+    ``correlation_stack`` of a stack of one."""
     if isinstance(sigma, SigmaMatrix):
         if sigma.pd_status is not PDStatus.POSITIVE_DEFINITE:
             raise SingularMatrix(f"mass matrix is {sigma.pd_status.value}, need positive definite")
@@ -220,6 +142,5 @@ def correlation_data(sigma: SigmaMatrix | np.ndarray, strict: bool = True) -> Co
     _check_size(entries)
     r, rho, d = correlation_stack(entries[None], strict)
     det_sigma = float(d[0])
-    cof = np.real(cofactor_matrix(entries))
-    return CorrelationData(r_matrix=r[0], rho=rho[0], cofactors=cof, det_sigma=det_sigma,
+    return CorrelationData(r_matrix=r[0], rho=rho[0], det_sigma=det_sigma,
                            d_reduced=det_sigma / float(np.prod(np.diag(entries))))

@@ -20,7 +20,7 @@ from scipy.special import gammaln, roots_jacobi
 
 from .errors import DivergentIntegral, InconsistentMomenta, ValidationError
 from .kinematics import KinematicConfig, build_sigma
-from .matrixops import cholesky, det, inverse
+from .matrixops import cholesky, inverse_batch
 from .quadrature import (
     DEFAULT_SETTINGS,
     IntegralValue,
@@ -177,9 +177,9 @@ def truncated_moment_mc(config: KinematicConfig, settings: MCSettings = DEFAULT_
     N = config.n_legs
     n = config.dimension
     nu = config.nu_total
-    r = inverse(sigma)
-    L = cholesky(np.real(r))
-    det_sigma = float(np.real(det(sigma)))
+    r = inverse_batch(sigma)
+    L = cholesky(r)
+    det_sigma = float(np.linalg.det(sigma))
     pref = ((-1.0) ** nu * (2.0 * math.pi) ** (0.5 * N)
             / (math.sqrt(det_sigma) * 2.0 ** (nu - 0.5 * n - 1.0)
                * math.prod(gamma_fn(p) for p in config.powers)))

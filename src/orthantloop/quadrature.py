@@ -349,7 +349,7 @@ def integrate_0inf(f, settings: QuadratureSettings = DEFAULT_SETTINGS) -> Integr
 
 
 def contour_rows(f, c, T0, settings: QuadratureSettings = DEFAULT_SETTINGS, *,
-                 reflect: bool = True, max_strips: int = 48):
+                 max_strips: int = 48):
     """(1/2*pi*i) times the integral of ``f`` along Re(s) = c[b], truncated,
     for a stack of independent rows b.
 
@@ -362,20 +362,18 @@ def contour_rows(f, c, T0, settings: QuadratureSettings = DEFAULT_SETTINGS, *,
     strip maps onto [0, 1] and runs on ``adaptive_rows``, so a row's panels
     do not depend on its stack neighbours; a strip that exhausts its panel
     budget (oscillatory e**(s*x) factors) is retried as eight uniform
-    sub-strips, up to three times.  With ``reflect`` the integrand is
-    assumed to satisfy f(conj(s)) = conj(f(s)), so only the upper half is
-    evaluated and the result is real.  Returns (value, error, converged)
-    per row; raises TailDominates when the tail of any row refuses to decay.
+    sub-strips, up to three times.  The integrand is assumed to satisfy
+    f(conj(s)) = conj(f(s)), so only the upper half is evaluated and the
+    result is real.  Returns (value, error, converged) per row; raises
+    TailDominates when the tail of any row refuses to decay.
     """
     c = np.asarray(c, dtype=float)
     T0 = np.asarray(T0, dtype=float)
     B = len(c)
     tol = (settings.rel_tol, settings.abs_tol, settings.max_subdivisions)
 
-    def segment(rows, lo, hi):
-        owner, plo, phi = rows, lo, hi
-        if not reflect:
-            owner, plo, phi = np.tile(rows, 2), np.concatenate([lo, -hi]), np.concatenate([hi, -lo])
+    def segment(rows, plo, phi):
+        owner = rows
         depth = np.zeros(len(owner), dtype=int)
         sv = np.zeros(B, dtype=complex)
         se = np.zeros(B)
@@ -428,22 +426,18 @@ def contour_rows(f, c, T0, settings: QuadratureSettings = DEFAULT_SETTINGS, *,
             raise TailDominates(
                 f"contour tail estimate {tail[b]} exceeds 10x tolerance at height {lo[b]}")
     err = err + np.where(np.isfinite(tail), tail, 0.0)
-    if reflect:
-        return np.real(value) / math.pi + 0j, err / math.pi, ok & converged_tail
-    return value / (2.0 * math.pi), err / (2.0 * math.pi), ok & converged_tail
+    return np.real(value) / math.pi + 0j, err / math.pi, ok & converged_tail
 
 
 def integrate_contour(f, settings: QuadratureSettings = DEFAULT_SETTINGS, *,
-                      scale: float = 1.0, reflect: bool = True,
                       max_strips: int = 48) -> IntegralValue:
     """(1/2*pi*i) times the integral of ``f`` along Re(s) = c, truncated:
     ``contour_rows`` with one row.  The abscissa and first height default
-    to ``scale`` and ``8 * scale``."""
+    to 1 and 8."""
     c = settings.contour_abscissa_c
     if c is None:
-        c = 1.0 * scale
-    T0 = settings.contour_halfheight_T or 8.0 * scale
+        c = 1.0
+    T0 = settings.contour_halfheight_T or 8.0
     value, err, ok = contour_rows(lambda s, rows: np.asarray(f(s.ravel())).reshape(s.shape),
-                                  [c], [T0], settings,
-                                  reflect=reflect, max_strips=max_strips)
+                                  [c], [T0], settings, max_strips=max_strips)
     return _scalar_result(value, err, ok[0], METHOD_CONTOUR)

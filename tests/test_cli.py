@@ -102,6 +102,7 @@ epsilon_order = 2
     records = [json.loads(line) for line in stream.getvalue().splitlines()]
     assert len(records) == 3
     assert [r["order_index"] for r in records] == [0, 1, 2]
+    assert all(r["converged"] is True and r["flags"] == [] for r in records)
 
 
 def test_oracle_determinism_bit_identical(tmp_path):
@@ -146,8 +147,27 @@ def test_csv_output_columns(tmp_path):
     stream = io.StringIO()
     run(["compute", "--config", write(tmp_path, TWO_POINT), "--format", "csv"], stream)
     lines = stream.getvalue().splitlines()
-    assert lines[0] == "N,n,nu,value_re,value_im,abs_error,method"
+    assert lines[0] == "N,n,nu,value_re,value_im,abs_error,method,converged,flags"
     assert len(lines) == 2
+
+
+def test_records_carry_convergence(tmp_path, monkeypatch):
+    import orthantloop.cli as cli
+    from orthantloop.quadrature import IntegralValue
+
+    rough = IntegralValue(value=1.5, abs_error=0.1, converged=False,
+                          flags=("inner_non_converged",))
+    monkeypatch.setattr(cli, "evaluate_any_dimension", lambda config, settings: rough)
+    path = write(tmp_path, TWO_POINT)
+    stream = io.StringIO()
+    assert run(["compute", "--config", path, "--format", "jsonlines"], stream) == EXIT_OK
+    rec = json.loads(stream.getvalue())
+    assert rec["converged"] is False
+    assert rec["flags"] == ["inner_non_converged"]
+    stream = io.StringIO()
+    assert run(["compute", "--config", path, "--format", "text"], stream) == EXIT_OK
+    assert "converged=False" in stream.getvalue()
+    assert "inner_non_converged" in stream.getvalue()
 
 
 def test_momenta_section_derives_invariants(tmp_path):

@@ -23,7 +23,7 @@ from orthantloop.dimshift import (
 )
 from orthantloop.errors import DivergentIntegral, ValidationError
 from orthantloop.kinematics import KinematicConfig, build_sigma, random_interior_config
-from orthantloop.npoint import evaluate_unit, j3_2d, j5_4d
+from orthantloop.npoint import evaluate_unit, j3_2d, j5_4d, unit_values
 from orthantloop.oracle import MCSettings, feynman_oracle
 from orthantloop.quadrature import QuadratureSettings
 
@@ -91,10 +91,9 @@ def test_raise_dimension_tail_decay(rng):
 
     cfg = random_interior_config(rng, 3)
     sigma = build_sigma(cfg).entries
-    fam = _ShiftedFamily(sigma, (1, 1, 1),
-                         lambda m: evaluate_unit(m, 3, FAST).value)
+    fam = _ShiftedFamily(sigma, (1, 1, 1), lambda mats: unit_values(mats, 3, FAST))
     xs = np.array([40.0, 80.0, 160.0])
-    vals = np.array([abs(fam.value(float(x))) for x in xs])
+    vals = np.abs(fam.values(xs)[0])
     slopes = np.diff(np.log(vals)) / np.diff(np.log(xs))
     assert np.all(np.abs(slopes + 1.5) < 0.1)
 
