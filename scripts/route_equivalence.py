@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Sweep random interior kinematics and compare every evaluation route that
-applies: explicit assembly, simplex oracle, contour shifts, duplicated
-columns.  Prints one row per comparison with the relative spread."""
+applies: explicit assembly, simplex oracle, contour shifts, closed-form mass
+derivatives, duplicated columns.  Prints one row per comparison with the
+relative spread."""
 
 import argparse
 import time
@@ -25,7 +26,7 @@ from orthantloop.quadrature import QuadratureSettings
 def row(label, values):
     spread = (max(abs(v) for v in values) - min(abs(v) for v in values)) \
         / max(abs(v) for v in values)
-    print(f"{label:42s} " + "  ".join(f"{v:+.8f}" for v in values)
+    print(f"{label:50s} " + "  ".join(f"{v:+.8f}" for v in values)
           + f"   spread {spread:.2e}")
 
 
@@ -62,16 +63,21 @@ def main():
 
         base = random_interior_config(rng, 3)
         raised = KinematicConfig(base.masses, np.array(base.invariants), (3, 1, 1), 5.0)
-        row("power 3 on one leg: contour / columns / oracle",
+        row("power 3 on one leg: derivative / columns / oracle",
             [raise_power_single(raised, 0, st).value.real,
              raise_power_duplicate(raised, st).value.real,
              feynman_oracle(raised).value.real])
 
         paired = KinematicConfig(base.masses, np.array(base.invariants), (2, 2, 1), 5.0)
-        row("power 2+2: contour / columns / oracle",
+        row("power 2+2: derivative / columns / oracle",
             [raise_power_pair(paired, (0, 1), st).value.real,
              raise_power_duplicate(paired, st).value.real,
              feynman_oracle(paired).value.real])
+
+        cfg = random_interior_config(rng, 6, n=4)
+        row("six-point 4D: derivative / MC oracle",
+            [lower_dimension(cfg, st).value.real,
+             feynman_oracle(cfg, mc).value.real])
 
         cfg = random_interior_config(rng, 6, n=6)
         row("six-point 6D: assembly / MC oracle",

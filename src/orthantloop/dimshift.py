@@ -8,12 +8,20 @@ mass matrices.  Raised powers at n = nu are themselves contour integrals
 over single-entry shifts, or equivalently plain assemblies on a matrix with
 duplicated columns.
 
+A contour of weight 2 on a positive-definite matrix (N >= 3) closes on its
+pole at s = 0 and is a closed-form first mass derivative of the unit value
+(``unit_value_derivatives``): one leg at power 3 is -1/2 dJ/dSigma_kk, an
+equal pair at power 2 is -1/2 dJ/dt along E_kk' + E_k'k, and n = N - 2 is
+-dJ/dx along Sigma + x*ones.  Half-integer weights, second derivatives,
+N = 2 and matrices that ``correlation_stack`` refuses keep the contour.
+
 The nodes of every outer integral are independent evaluations of the same
 kind, so each route hands all nodes of a quadrature step to one stacked
 evaluation: ``unit_values`` for unit powers, ``_duplicate_values`` for the
-duplicated columns and ``_contour_values`` for a stack of contours, each of
-which adapts per matrix.  Every route ANDs the convergence of its inner
-evaluations into its own result (flag ``inner_non_converged``).
+duplicated columns and ``_shift_values`` for a stack of contours or mass
+derivatives, each of which adapts per matrix.  Every route ANDs the
+convergence of its inner evaluations into its own result (flag
+``inner_non_converged``).
 
 Branch handling on contours: determinants and diagonal minors of the
 shifted matrices are polynomials of degree at most two in the contour
@@ -37,7 +45,14 @@ from scipy.special import digamma, gamma as gamma_fn, polygamma
 from .errors import AssemblyLimit, DivergentIntegral, SingularMatrix, ValidationError
 from .kinematics import KinematicConfig, build_sigma
 from .matrixops import cholesky, inverse_batch, rejected
-from .npoint import angle_form_values, evaluate_unit, orthant_probability_batch, unit_values
+from .npoint import (
+    angle_form_values,
+    evaluate_unit,
+    orthant_probability_batch,
+    unit_method,
+    unit_value_derivatives,
+    unit_values,
+)
 from .quadrature import (
     DEFAULT_SETTINGS,
     IntegralValue,
@@ -55,13 +70,13 @@ class ShiftKind(enum.Enum):
     ALL_MASSES_MINUS_S = "all_masses_minus_s"
     SINGLE_DIAGONAL_MINUS_S = "single_diagonal_minus_s"
     SINGLE_OFFDIAGONAL_INVARIANT_PLUS_4S = "single_offdiagonal_invariant_plus_4s"
-    COLUMN_AUGMENTED = "column_augmented"
 
 
 @dataclass(frozen=True)
 class ShiftedSigma:
     """A named one-parameter deformation of a mass matrix, or of each
-    matrix of a stack (``base`` shaped (..., N, N)).
+    matrix of a stack (``base`` shaped (..., N, N)).  Every kind is linear
+    in the parameter: shifted(s) = base + s * direction.
 
     ``materialize`` reproduces the concrete (possibly complex) matrix for a
     given parameter value; the stored ``parameter`` is just a default.
@@ -74,34 +89,32 @@ class ShiftedSigma:
 
     def materialize(self, parameter=None) -> np.ndarray:
         s = self.parameter if parameter is None else parameter
-        if self.shift_kind is ShiftKind.COLUMN_AUGMENTED:
-            return augment_sigma(np.asarray(self.base), self.legs, float(np.real(s)))
         return self.materialize_batch(np.asarray(s).reshape(1))[0]
+
+    @property
+    def direction(self) -> np.ndarray:
+        """d shifted(s) / ds, shaped (N, N)."""
+        N = np.asarray(self.base).shape[-1]
+        kind = self.shift_kind
+        if kind is ShiftKind.ALL_MASSES_PLUS_TAU:
+            return np.ones((N, N))
+        if kind is ShiftKind.ALL_MASSES_MINUS_S:
+            return -np.ones((N, N))
+        out = np.zeros((N, N))
+        if kind is ShiftKind.SINGLE_DIAGONAL_MINUS_S:
+            (k,) = self.legs
+            out[k, k] = -1.0
+        else:
+            # k2 -> k2 + 4s translates to a -2s shift of the matrix entry
+            k, kp = self.legs
+            out[k, kp] = out[kp, k] = -2.0
+        return out
 
     def materialize_batch(self, s: np.ndarray) -> np.ndarray:
         """Shifted matrices for an array of parameter values: ``s`` shaped
         base.shape[:-2] + (k,) gives matrices shaped s.shape + (N, N)."""
-        base = np.asarray(self.base)
         s = np.asarray(s)
-        dtype = complex if (np.iscomplexobj(base) or np.iscomplexobj(s)) else float
-        out = np.broadcast_to(base[..., None, :, :].astype(dtype),
-                              s.shape + base.shape[-2:]).copy()
-        kind = self.shift_kind
-        if kind is ShiftKind.ALL_MASSES_PLUS_TAU:
-            out += s[..., None, None]
-        elif kind is ShiftKind.ALL_MASSES_MINUS_S:
-            out -= s[..., None, None]
-        elif kind is ShiftKind.SINGLE_DIAGONAL_MINUS_S:
-            (k,) = self.legs
-            out[..., k, k] -= s
-        elif kind is ShiftKind.SINGLE_OFFDIAGONAL_INVARIANT_PLUS_4S:
-            # k2 -> k2 + 4s translates to a -2s shift of the matrix entry
-            k, kp = self.legs
-            out[..., k, kp] -= 2.0 * s
-            out[..., kp, k] -= 2.0 * s
-        else:
-            raise ValueError(f"no batch materialization for {kind}")
-        return out
+        return np.asarray(self.base)[..., None, :, :] + s[..., None, None] * self.direction
 
     def diagonal_bounds(self) -> np.ndarray:
         """Upper bounds on a contour abscissa from keeping the real parts of
@@ -277,6 +290,45 @@ def _contour_values(shift: ShiftedSigma, weight_power: float, prefactor: float,
             abs(prefactor) * (err + 10.0 * settings.rel_tol * np.abs(value)), ok, inner_ok)
 
 
+def _pole_rows(shift: ShiftedSigma, weight_power: float) -> np.ndarray:
+    """Rows of the shift's stack whose contour closes on its pole at s = 0.
+
+    Every shift subtracts s times a non-negative form from u.Sigma.u, so for
+    a positive-definite Sigma the only singularity left of the contour is
+    the pole.  At weight 2 the contour is then the first Taylor coefficient
+    of J(shifted(s)), a mass derivative along the shift.  Rows that
+    ``correlation_stack`` refuses, N = 2 and every other weight keep the
+    contour.
+    """
+    base = np.asarray(shift.base)
+    if weight_power != 2.0 or base.shape[-1] < 3 or np.iscomplexobj(base):
+        return np.zeros(base.shape[0], dtype=bool)
+    return ~rejected(base)
+
+
+def _shift_values(shift: ShiftedSigma, weight_power: float, prefactor: float,
+                  settings: QuadratureSettings):
+    """``_contour_values``, with the rows of ``_pole_rows`` evaluated as
+    prefactor times the closed-form mass derivative ``unit_value_derivatives``.
+    Its error carries the same 10 * rel_tol * |value| term as the contour's;
+    its own quadrature has nothing to fail, so only inner convergence can."""
+    base = np.asarray(shift.base)
+    pole = _pole_rows(shift, weight_power)
+    if not pole.any():
+        return _contour_values(shift, weight_power, prefactor, settings)
+    value, error = np.empty(len(base), dtype=complex), np.empty(len(base))
+    ok, inner_ok = np.ones(len(base), dtype=bool), np.empty(len(base), dtype=bool)
+    v, e, inner_ok[pole] = unit_value_derivatives(base[pole], shift.direction, settings)
+    value[pole] = prefactor * v
+    error[pole] = abs(prefactor) * (e + 10.0 * settings.rel_tol * np.abs(v))
+    if not pole.all():
+        rest = _contour_values(replace(shift, base=base[~pole]), weight_power, prefactor,
+                               settings)
+        for out, part in zip((value, error, ok, inner_ok), rest):
+            out[~pole] = part
+    return value, error, ok, inner_ok
+
+
 # ---------------------------------------------------------------------------
 # Large-shift asymptotics.  On the unit simplex the all-ones shift adds
 # exactly x to the quadratic form, so for x beyond any matrix scale
@@ -440,31 +492,41 @@ def lower_dimension(config: KinematicConfig,
     _require_unit_powers(config, "lower_dimension")
     q = 0.5 * (nu - n)
     shift = ShiftedSigma(build_sigma(config).entries[None], ShiftKind.ALL_MASSES_MINUS_S)
-    return _one_contour(_contour_values(shift, q + 1.0, gamma_fn(q + 1.0), settings))
+    return _one_shift(shift, q + 1.0, gamma_fn(q + 1.0), settings)
 
 
 # ---------------------------------------------------------------------------
 # Propagator-power raising at n = nu.
 
-def _one_contour(rows) -> IntegralValue:
-    value, error, ok, inner_ok = rows
+def _one_shift(shift: ShiftedSigma, weight_power: float, prefactor: float,
+               settings: QuadratureSettings) -> IntegralValue:
+    """``_shift_values`` of a stack of one, labelled like ``evaluate_unit``
+    when it is a mass derivative and as a contour otherwise."""
+    value, error, ok, inner_ok = _shift_values(shift, weight_power, prefactor, settings)
+    N = np.asarray(shift.base).shape[-1]
+    method = unit_method(N, N) if _pole_rows(shift, weight_power)[0] else METHOD_CONTOUR
     return IntegralValue(value=complex(value[0]), abs_error=float(error[0]),
-                         method=METHOD_CONTOUR, **convergence(ok[0], inner_ok[0]))
+                         method=method, **convergence(ok[0], inner_ok[0]))
+
+
+def _power_shift(sigmas: np.ndarray, legs: tuple[int, ...], power: int):
+    """(shift, weight, prefactor) of raised powers at n = nu over a stack
+    of mass matrices: power nu_k on one leg (single-diagonal mass shift,
+    n = N - 1 + nu_k) or equal powers on two legs (off-diagonal invariant
+    shift k2 -> k2 + 4s, n = N - 2 + 2 nu_k), all other powers 1."""
+    if len(legs) == 1:
+        shift = ShiftedSigma(sigmas, ShiftKind.SINGLE_DIAGONAL_MINUS_S, legs=legs)
+        pref = (-1.0) ** (power - 1) * gamma_fn(0.5 * (power + 1.0)) / gamma_fn(power)
+        return shift, 0.5 * (power + 1.0), pref
+    shift = ShiftedSigma(sigmas, ShiftKind.SINGLE_OFFDIAGONAL_INVARIANT_PLUS_4S, legs=legs)
+    return shift, float(power), 4.0 ** (1.0 - power) / gamma_fn(power)
 
 
 def _power_contour(sigmas: np.ndarray, legs: tuple[int, ...], power: int,
                    settings: QuadratureSettings):
-    """Raised powers at n = nu as contours over a stack of mass matrices:
-    power nu_k on one leg (single-diagonal mass shift, n = N - 1 + nu_k) or
-    equal powers on two legs (off-diagonal invariant shift k2 -> k2 + 4s,
-    n = N - 2 + 2 nu_k), all other powers 1."""
-    if len(legs) == 1:
-        shift = ShiftedSigma(sigmas, ShiftKind.SINGLE_DIAGONAL_MINUS_S, legs=legs)
-        pref = (-1.0) ** (power - 1) * gamma_fn(0.5 * (power + 1.0)) / gamma_fn(power)
-        return _contour_values(shift, 0.5 * (power + 1.0), pref, settings)
-    shift = ShiftedSigma(sigmas, ShiftKind.SINGLE_OFFDIAGONAL_INVARIANT_PLUS_4S, legs=legs)
-    return _contour_values(shift, float(power), 4.0 ** (1.0 - power) / gamma_fn(power),
-                           settings)
+    """Raised powers at n = nu over a stack of mass matrices (see
+    ``_power_shift``): (values, errors, converged, inner_converged)."""
+    return _shift_values(*_power_shift(sigmas, legs, power), settings)
 
 
 def _single_raised_power(powers, dimension: float, leg: int) -> int:
@@ -486,7 +548,7 @@ def raise_power_single(config: KinematicConfig, leg: int,
     sigma = build_sigma(config).entries
     if nu_k == 1:
         return evaluate_unit(sigma, config.n_legs, settings)
-    return _one_contour(_power_contour(sigma[None], (leg,), nu_k, settings))
+    return _one_shift(*_power_shift(sigma[None], (leg,), nu_k), settings)
 
 
 def raise_power_pair(config: KinematicConfig, legs: tuple[int, int],
@@ -506,7 +568,7 @@ def raise_power_pair(config: KinematicConfig, legs: tuple[int, int],
     sigma = build_sigma(config).entries
     if v == 1:
         return evaluate_unit(sigma, N, settings)
-    return _one_contour(_power_contour(sigma[None], (k, kp), v, settings))
+    return _one_shift(*_power_shift(sigma[None], (k, kp), v), settings)
 
 
 def _duplicate_values(sigmas: np.ndarray, powers, settings: QuadratureSettings,
@@ -693,8 +755,9 @@ def eps_expand(config: KinematicConfig, order: int = 2, k: float | None = None,
 def _raised_power_inner(config: KinematicConfig, settings: QuadratureSettings,
                         route: str):
     """Stacked evaluator at n = nu for raised powers on shifted matrices:
-    the contour route where one leg, or two legs with equal powers, carry
-    them, otherwise (or with ``route="duplicate"``) duplicated columns."""
+    the contour route (a mass derivative at weight 2) where one leg, or two
+    legs with equal powers, carry them, otherwise (or with
+    ``route="duplicate"``) duplicated columns."""
     powers = config.powers
     nu = config.nu_total
     N = config.n_legs
@@ -738,6 +801,14 @@ def evaluate_any_dimension(config: KinematicConfig,
     if unit and (n == N or n == N - 1):
         return evaluate_unit(build_sigma(config).entries, n, settings)
     if n == nu:
+        # one leg at 3 or an equal pair at 2 is a first mass derivative on any
+        # matrix it accepts; the duplicated columns take everything else
+        raised = tuple(i for i, p in enumerate(config.powers) if p > 1)
+        if tuple(config.powers[i] for i in raised) in ((3,), (2, 2)):
+            shift, weight, pref = _power_shift(build_sigma(config).entries[None], raised,
+                                               config.powers[raised[0]])
+            if _pole_rows(shift, weight)[0]:
+                return _one_shift(shift, weight, pref, settings)
         return raise_power_duplicate(config, settings)
     if n > nu:
         return raise_dimension(config, settings)

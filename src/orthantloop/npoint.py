@@ -153,6 +153,72 @@ def unit_values(sigmas: np.ndarray, n: float,
             p0.converged.reshape(B, N).all(axis=1))
 
 
+def unit_value_derivatives(sigmas: np.ndarray, direction: np.ndarray,
+                           settings: QuadratureSettings = DEFAULT_SETTINGS):
+    """d/dt of the unit-power value at n = N along Sigma + t*E, for a stack
+    of real positive-definite mass matrices (B, N, N) with N >= 3 and a
+    symmetric direction E, shaped (N, N) or (B, N, N).
+
+    Returns (values, errors, converged) per matrix.  With R = Sigma^-1 and
+    d_a = sqrt(R_aa) the chain rule runs through
+
+        dR = -R E R,   d(prefactor) = -prefactor * tr(R E) / 2,
+        drho_ab = dR_ab / (d_a d_b) - rho_ab (dd_a / d_a + dd_b / d_b),
+
+    with dd_a = dR_aa / (2 d_a), and Plackett's identity (Biometrika 41,
+    351, 1954) gives the orthant gradient in closed form:
+
+        dP0 / drho_ij = P0(rho | x_i = x_j = 0) / (2 pi sqrt(1 - rho_ij**2)).
+
+    The conditioned orthants have N - 2 variables; all (matrix, pair) ones go
+    to one ``orthant_probability_batch`` call.  Their errors and that of P0
+    are carried through the chain rule.  Matrices that ``correlation_stack``
+    refuses raise SingularMatrix for the whole stack.
+    """
+    sigmas = np.asarray(sigmas, dtype=float)
+    B, N = sigmas.shape[0], sigmas.shape[-1]
+    if N < 3:
+        raise ValueError(f"mass derivatives need N >= 3, got N={N}")
+    r, rho, det = correlation_stack(sigmas)
+    p0 = orthant_probability_batch(rho, settings)
+    # Gaussian conditioning on x_i = x_j = 0, for every pair i < j at once
+    pairs = np.array(list(combinations(range(N), 2)))
+    rest = np.array([[a for a in range(N) if a not in pair] for pair in pairs])
+    r_ij = rho[:, pairs[:, 0], pairs[:, 1]]                      # (B, P)
+    b_i = rho[:, rest, pairs[:, :1]]                             # (B, P, N-2)
+    b_j = rho[:, rest, pairs[:, 1:]]
+    cross = b_i[..., :, None] * b_j[..., None, :]
+    cov = (rho[:, rest[:, :, None], rest[:, None, :]]
+           - (b_i[..., :, None] * b_i[..., None, :] + b_j[..., :, None] * b_j[..., None, :]
+              - r_ij[..., None, None] * (cross + np.swapaxes(cross, -1, -2)))
+           / (1.0 - r_ij ** 2)[..., None, None])
+    sd = np.sqrt(np.diagonal(cov, axis1=-2, axis2=-1))
+    cond = cov / (sd[..., :, None] * sd[..., None, :])
+    cond[..., np.arange(N - 2), np.arange(N - 2)] = 1.0
+    pc = orthant_probability_batch(cond.reshape(-1, N - 2, N - 2), settings)
+    weight = 1.0 / (2.0 * math.pi * np.sqrt(1.0 - r_ij ** 2))
+    # chain rule from Sigma through R to the correlations
+    e = np.asarray(direction, dtype=float)
+    dr = -r @ e @ r
+    dg = np.sqrt(np.diagonal(r, axis1=1, axis2=2))
+    rate = np.diagonal(dr, axis1=1, axis2=2) / (2.0 * dg * dg)          # dd_a / d_a
+    drho = dr / (dg[:, :, None] * dg[:, None, :]) - rho * (rate[:, :, None] + rate[:, None, :])
+    drho_ij = drho[:, pairs[:, 0], pairs[:, 1]]
+    pref = (-1.0) ** N * 2.0 * math.pi ** (0.5 * N) / np.sqrt(det)
+    dpref = -0.5 * pref * (r * e).sum(axis=(1, 2))
+    grad = (drho_ij * weight * pc.value.reshape(B, -1)).sum(axis=1)
+    grad_err = (np.abs(drho_ij) * weight * pc.abs_error.reshape(B, -1)).sum(axis=1)
+    values = dpref * p0.value + pref * grad
+    errors = np.abs(dpref) * p0.abs_error + np.abs(pref) * grad_err
+    return values + 0j, errors, p0.converged & pc.converged.reshape(B, -1).all(axis=1)
+
+
+def unit_method(N: int, n: float) -> str:
+    """Method label of an N-point assembly at n: closed form when every
+    orthant in it has at most three variables, quadrature otherwise."""
+    return METHOD_CLOSED_FORM if N <= 3 or (N == 4 and n == 3) else METHOD_QUADRATURE
+
+
 def evaluate_unit(sigma: np.ndarray, n: float,
                   settings: QuadratureSettings = DEFAULT_SETTINGS,
                   strict: bool = True) -> IntegralValue:
@@ -162,10 +228,8 @@ def evaluate_unit(sigma: np.ndarray, n: float,
     sigma = np.asarray(sigma)
     N = sigma.shape[0]
     values, errors, ok = unit_values(sigma[None], n, settings, strict)
-    closed = N <= 3 or (N == 4 and n == 3)
     return IntegralValue(value=complex(values[0]), abs_error=float(errors[0]),
-                         method=METHOD_CLOSED_FORM if closed else METHOD_QUADRATURE,
-                         **convergence(inner_ok=bool(ok[0])))
+                         method=unit_method(N, n), **convergence(inner_ok=bool(ok[0])))
 
 
 def rowsum_value(sigma: np.ndarray, settings: QuadratureSettings = DEFAULT_SETTINGS,

@@ -6,7 +6,8 @@ bilinears need values four dimensions up with one propagator power raised to
 three (weight 2) or two raised to two (weight 1).  Each of the sixteen
 scalar families is an expansion in the dimensional regulator computed
 through the uniform-mass-shift integral, with the raised powers handled by
-the single-entry contour shifts or the duplicated-column route.
+first mass derivatives of the unit value (single-entry contour shifts on
+matrices that are not positive definite) or the duplicated-column route.
 
 Families are evaluated on a leg-relabelled copy of the configuration that
 moves the raised legs to the front.  Relabelling is exact (values are
@@ -77,7 +78,7 @@ def reduce_rank2_5pt(config: KinematicConfig, momenta: np.ndarray, order: int = 
     tensor at dimension 4 - 2*eps, as series of the stated ``order``.
 
     ``route`` picks how raised powers are evaluated on the shifted matrices:
-    single/pair contour integrals (default) or the duplicated-column
+    single/pair shifts (default; mass derivatives) or the duplicated-column
     assembly; the two agree and the tests compare them.
     """
     if config.n_legs != 5:

@@ -350,3 +350,70 @@ def test_shift_routes_report_inner_non_convergence():
     assert "inner_non_converged" in up.flags
     assert raise_dimension(random_interior_config(np.random.default_rng(3), 5, n=6),
                            FAST).flags == ()
+
+
+def test_mass_derivative_route_matches_the_contour(rng):
+    from orthantloop.dimshift import _contour_values, _pole_rows, _power_shift, _shift_values
+
+    for powers in ((3, 1, 1, 1), (3, 1, 1, 1, 1), (3, 1, 1, 1, 1, 1), (1, 2, 1, 2, 1)):
+        N = len(powers)
+        stack = np.stack([build_sigma(random_interior_config(rng, N)).entries
+                          for _ in range(2)])
+        legs = tuple(i for i, p in enumerate(powers) if p > 1)
+        shift, weight, pref = _power_shift(stack, legs, powers[legs[0]])
+        assert weight == 2.0 and np.all(_pole_rows(shift, weight))
+        value, error, ok, inner_ok = _shift_values(shift, weight, pref, FAST)
+        c_value, c_error, c_ok, c_inner_ok = _contour_values(shift, weight, pref, FAST)
+        assert np.all(ok & inner_ok & c_ok & c_inner_ok)
+        assert np.all(np.abs(value - c_value) <= error + c_error)
+    for N in (5, 6):
+        cfg = random_interior_config(rng, N, n=N - 2)
+        low = lower_dimension(cfg, FAST)
+        assert low.method != "contour" and low.converged
+        shift = ShiftedSigma(build_sigma(cfg).entries[None], ShiftKind.ALL_MASSES_MINUS_S)
+        c_value, c_error, _, _ = _contour_values(shift, 2.0, 1.0, FAST)
+        assert abs(low.value - c_value[0]) <= low.abs_error + c_error[0]
+
+
+def test_mass_derivative_route_leaves_non_pd_rows_on_the_contour(rng):
+    from orthantloop.dimshift import _contour_values, _power_contour, _power_shift
+
+    k2 = np.full((3, 3), 4.5)
+    np.fill_diagonal(k2, 0.0)
+    above = KinematicConfig((1.0, 1.1, 0.9), k2, (3, 1, 1), 5.0)
+    base = random_interior_config(rng, 3)
+    below = KinematicConfig(base.masses, np.array(base.invariants), (3, 1, 1), 5.0)
+    stack = np.stack([build_sigma(below).entries, build_sigma(above).entries])
+    value, error, ok, inner_ok = _power_contour(stack, (0,), 3, FAST)
+    assert np.all(ok & inner_ok)
+    alone = _contour_values(*_power_shift(stack[1:], (0,), 3), FAST)
+    assert (value[1], error[1]) == (alone[0][0], alone[1][0])
+    assert value[1].real == pytest.approx(-0.25588, abs=1e-5)
+    one = raise_power_single(above, 0, FAST)
+    assert one.method == "contour" and one.value == alone[0][0]
+    derived = raise_power_single(below, 0, FAST)
+    assert derived.method == "closed_form" and derived.value == value[0]
+
+
+def test_starved_mass_derivative_reports_inner_non_convergence():
+    # strongly correlated legs: at moderate correlations the real inner
+    # quartets meet the default tolerance on their first panel
+    cfg = random_interior_config(np.random.default_rng(0), 6, n=4, corr_scale=20.0)
+    starved = lower_dimension(cfg, QuadratureSettings(max_subdivisions=1))
+    assert starved.method == "quadrature"
+    assert not starved.converged
+    assert "inner_non_converged" in starved.flags
+    assert lower_dimension(cfg, FAST).converged
+
+
+def test_any_dimension_takes_first_mass_derivatives(rng):
+    base = random_interior_config(rng, 4)
+    for powers, direct in (((3, 1, 1, 1), lambda c: raise_power_single(c, 0, FAST)),
+                           ((1, 2, 2, 1), lambda c: raise_power_pair(c, (1, 2), FAST))):
+        cfg = KinematicConfig(base.masses, np.array(base.invariants), powers, 6.0)
+        got = evaluate_any_dimension(cfg, FAST)
+        assert got == direct(cfg) and got.method == "quadrature"
+        columns = raise_power_duplicate(cfg, FAST)
+        assert abs(got.value - columns.value) <= got.abs_error + columns.abs_error
+    cfg = KinematicConfig(base.masses, np.array(base.invariants), (2, 1, 1, 1), 5.0)
+    assert evaluate_any_dimension(cfg, FAST) == raise_power_duplicate(cfg, FAST)

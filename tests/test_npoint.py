@@ -277,3 +277,26 @@ def test_unit_values_reject_a_stack_with_one_bad_matrix(rng):
         unit_values(np.stack([good, below]), 4)
     values, _, _ = unit_values(np.stack([good, below]), 4, strict=False)
     assert np.all(np.isfinite(values))
+
+
+def test_unit_value_derivatives_match_central_differences(rng):
+    from orthantloop.npoint import unit_value_derivatives
+
+    tight = QuadratureSettings(rel_tol=1e-10, abs_tol=1e-14)
+    h = 1e-4
+    for N in range(3, 8):
+        stack = np.stack([build_sigma(random_interior_config(rng, N)).entries
+                          for _ in range(2)])
+        unit = np.eye(N)
+        for direction in (np.outer(unit[0], unit[0]),
+                          np.outer(unit[1], unit[2]) + np.outer(unit[2], unit[1]),
+                          np.ones((N, N))):
+            values, errors, ok = unit_value_derivatives(stack, direction, tight)
+            assert np.all(ok)
+
+            def at(t):
+                return unit_values(stack + t * direction, N, tight)[0]
+
+            # fourth-order central difference
+            fd = (8.0 * (at(h) - at(-h)) - (at(2 * h) - at(-2 * h))) / (12.0 * h)
+            assert np.all(np.abs(values - fd) <= 1e-7 * np.abs(values) + errors)
