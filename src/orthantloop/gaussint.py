@@ -12,7 +12,10 @@ to three one-dimensional arcsine integrals; six denominators reduce to an
 outer integral whose integrand is a weighted sum of five four-denominator
 evaluations on a conditioned coefficient matrix.  All entries may be
 complex (shifted-mass continuations); principal branches are used
-throughout, with an optional homotopy continuity check.
+throughout, with an optional homotopy continuity check.  Unless told
+otherwise, the four- and six-denominator integrals anchor on the leg whose
+largest |rho| to the others is smallest, which keeps the poles at
+u = 1/|rho_ip| of their partner weights farthest from the unit interval.
 """
 
 from __future__ import annotations
@@ -124,14 +127,23 @@ def conditioned_correlation(rho: np.ndarray, k: int) -> np.ndarray:
 
 
 def _default_anchors(rhos: np.ndarray) -> np.ndarray:
-    """Per matrix, the label with the largest total |rho| to its partners;
-    keeps the |rho_ip * u| factors farthest from the endpoint singularity."""
-    strength = np.abs(rhos).sum(axis=-1) - np.abs(np.diagonal(rhos, axis1=-2, axis2=-1))
-    return np.argmax(strength, axis=-1)
+    """Per matrix of a stack (..., d, d), the label whose largest |rho| to
+    its partners is smallest, ties going to the lowest label.
+
+    An anchor i weights partner p by rho_ip / sqrt(1 - rho_ip**2 u**2), whose
+    pole sits at u = 1/|rho_ip|.  The nearest pole to the unit interval is
+    the one of the partner with the largest |rho_ip|; this minimax choice
+    puts it as far beyond u = 1 as the matrix allows.  Complex entries are
+    ranked by modulus.
+    """
+    off = np.abs(rhos) * (1.0 - np.eye(rhos.shape[-1]))
+    return np.argmin(off.max(axis=-1), axis=-1)
 
 
 def default_anchor(rho: np.ndarray) -> int:
-    """The anchor label ``i_quad`` and ``i_hex`` pick when none is given."""
+    """The anchor label ``i_quad`` and ``i_hex`` pick when none is given: the
+    leg whose strongest correlation to another leg is weakest, so that the
+    poles u = 1/|rho_ip| of its partner weights stay farthest from [0, 1]."""
     return int(_default_anchors(np.asarray(rho)))
 
 
@@ -229,8 +241,7 @@ def i_quad(rho: np.ndarray, settings: QuadratureSettings = DEFAULT_SETTINGS,
     """Four-denominator Gaussian integral divided by pi**4.
 
     The formula is anchored at one label and is not manifestly symmetric;
-    the value is.  ``anchor=None`` picks the label that keeps the endpoint
-    factors tamest.
+    the value is.  ``anchor=None`` picks ``default_anchor(rho)``.
     """
     rho = _as_rho(rho)
     if rho.shape != (4, 4):

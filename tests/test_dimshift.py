@@ -340,16 +340,21 @@ def test_stacked_power_contour_matches_single_routes(rng):
             assert abs(one.value - values[b]) <= errors[b] + one.abs_error
 
 
+def _strongly_correlated(N, n):
+    # at moderate correlations the real inner quartets meet the default
+    # tolerance on their first panel, so starving them changes nothing
+    return random_interior_config(np.random.default_rng(3), N, n=n, corr_scale=100.0)
+
+
 def test_shift_routes_report_inner_non_convergence():
     starved = QuadratureSettings(max_subdivisions=1)
-    down = lower_dimension(random_interior_config(np.random.default_rng(3), 5, n=4), starved)
+    down = lower_dimension(_strongly_correlated(5, 4), starved)
     assert not down.converged
     assert "inner_non_converged" in down.flags
-    up = raise_dimension(random_interior_config(np.random.default_rng(3), 5, n=6), starved)
+    up = raise_dimension(_strongly_correlated(5, 6), starved)
     assert not up.converged
     assert "inner_non_converged" in up.flags
-    assert raise_dimension(random_interior_config(np.random.default_rng(3), 5, n=6),
-                           FAST).flags == ()
+    assert raise_dimension(_strongly_correlated(5, 6), FAST).flags == ()
 
 
 def test_mass_derivative_route_matches_the_contour(rng):
@@ -396,9 +401,7 @@ def test_mass_derivative_route_leaves_non_pd_rows_on_the_contour(rng):
 
 
 def test_starved_mass_derivative_reports_inner_non_convergence():
-    # strongly correlated legs: at moderate correlations the real inner
-    # quartets meet the default tolerance on their first panel
-    cfg = random_interior_config(np.random.default_rng(0), 6, n=4, corr_scale=20.0)
+    cfg = _strongly_correlated(6, 4)
     starved = lower_dimension(cfg, QuadratureSettings(max_subdivisions=1))
     assert starved.method == "quadrature"
     assert not starved.converged

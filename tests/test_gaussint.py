@@ -274,3 +274,38 @@ def test_correlation_submatrix_type(rng):
         CorrelationSubmatrix(np.array([[1.0, 1.5], [1.5, 1.0]]))
     with pytest.raises(ValueError):
         CorrelationSubmatrix(rho, labels=(1, 2))
+
+
+def test_default_anchor_is_minimax():
+    # largest |rho| per leg: 0.6, 0.6, 0.3, 0.3; the lowest of the tied
+    # labels wins
+    rho = np.array([[1.0, 0.6, 0.2, 0.25],
+                    [0.6, 1.0, 0.3, 0.1],
+                    [0.2, 0.3, 1.0, -0.3],
+                    [0.25, 0.1, -0.3, 1.0]])
+    assert default_anchor(rho) == 2
+    # complex entries rank by modulus: |0.3 + 0.5j| lifts leg 2 above leg 3
+    shifted = rho.astype(complex)
+    shifted[1, 2] = shifted[2, 1] = 0.3 + 0.5j
+    assert default_anchor(shifted) == 3
+
+
+def _near_degenerate(d, rng):
+    """Correlation of a Gram matrix whose first two vectors nearly cancel:
+    rho_01 sits within about 2e-6 of -1."""
+    v = rng.normal(size=(d, d))
+    v[1] = -v[0] + 1e-3 * rng.normal(size=d)
+    g = v @ v.T
+    s = np.sqrt(np.diag(g))
+    return g / np.outer(s, s)
+
+
+@pytest.mark.parametrize("d, batch", [(4, quartet_batch), (6, i_hex_batch)])
+def test_default_anchor_avoids_near_degenerate_pair(d, batch):
+    rho = _near_degenerate(d, np.random.default_rng(0))
+    assert 0.0 < 1.0 + rho[0, 1] < 1e-5
+    auto_value, auto_error, auto_ok, auto_nodes = batch(rho[None])
+    value, error, ok, nodes = batch(rho[None], anchors=[0])
+    assert auto_ok[0] and ok[0]
+    assert abs(auto_value[0] - value[0]) <= auto_error[0] + error[0]
+    assert 3 * auto_nodes[0] <= nodes[0]
