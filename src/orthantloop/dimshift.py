@@ -40,7 +40,6 @@ from functools import cached_property
 from itertools import product as iter_product
 
 import numpy as np
-from scipy.special import digamma, gamma as gamma_fn, polygamma
 
 from .errors import AssemblyLimit, DivergentIntegral, SingularMatrix, ValidationError
 from .kinematics import KinematicConfig, build_sigma
@@ -340,33 +339,38 @@ def _shift_values(shift: ShiftedSigma, weight_power: float, prefactor: float,
 # shift then get an exact closed-form tail instead of sampling matrices so
 # degenerate that their correlation structure is unresolvable.
 
-def _dirichlet_moment(powers, extra) -> float:
-    """Integral over the simplex of prod u_i**(nu_i - 1 + extra_i)."""
-    num = math.prod(gamma_fn(p + e) for p, e in zip(powers, extra))
-    return num / gamma_fn(sum(powers) + sum(extra))
-
-
 def _form_moments(sigma: np.ndarray, powers):
-    """S0, S1, S2: simplex moments of powers of the quadratic form."""
-    N = len(powers)
-    s0 = _dirichlet_moment(powers, (0,) * N)
-    s1 = 0.0
-    for i in range(N):
-        for j in range(N):
-            e = [0] * N
-            e[i] += 1
-            e[j] += 1
-            s1 += sigma[i, j] * _dirichlet_moment(powers, e)
-    s2 = 0.0
-    for i in range(N):
-        for j in range(N):
-            for k_ in range(N):
-                for l in range(N):
-                    e = [0] * N
-                    for idx in (i, j, k_, l):
-                        e[idx] += 1
-                    s2 += sigma[i, j] * sigma[k_, l] * _dirichlet_moment(powers, e)
+    """S0, S1, S2: simplex moments of powers of the quadratic form.
+
+    The simplex integral of prod u_i**(nu_i - 1 + e_i) is S0 times
+    prod (nu_i)_{e_i} / (nu)_{|e|} in rising factorials, so S1 and S2
+    contract Sigma with that ratio over every index pair and quartet."""
+    nus = np.asarray(powers, dtype=float)
+    N = len(nus)
+    nu = float(nus.sum())
+    s0 = math.prod(math.gamma(p) for p in powers) / math.gamma(nu)
+    # rising[a, e] = (nu_a)_e for e = 0..4
+    rising = np.cumprod(np.hstack([np.ones((N, 1)), nus[:, None] + np.arange(4.0)]), axis=1)
+    legs = np.arange(N)
+    eye = np.eye(N, dtype=int)
+    # multiplicity of leg a among the indices, on the last axis
+    pair = eye[:, None] + eye[None, :]
+    quartet = pair[:, :, None, None] + pair[None, None]
+    m2 = rising[legs, pair].prod(axis=-1) / (nu * (nu + 1.0))
+    m4 = rising[legs, quartet].prod(axis=-1) / (nu * (nu + 1.0) * (nu + 2.0) * (nu + 3.0))
+    s1 = s0 * np.einsum("ij,ij->", sigma, m2)
+    s2 = s0 * np.einsum("ij,ijkl,kl->", sigma, m4, sigma)
     return s0, s1, s2
+
+
+def _upper_gamma(j: int, x: float) -> float:
+    """Gamma(j + 1, x) = int_x^inf t**j exp(-t) dt for an integer j >= 0,
+    in closed form: exp(-x) * sum_{i <= j} j!/i! * x**i."""
+    term = total = 1.0
+    for i in range(1, j + 1):
+        term *= x / i
+        total += term
+    return math.factorial(j) * math.exp(-x) * total
 
 
 class _ShiftedFamily:
@@ -389,8 +393,8 @@ class _ShiftedFamily:
         self.x_switch = x_switch if x_switch is not None else max(200.0 * scale, math.e ** 2)
         s0, s1, s2 = _form_moments(self.sigma, self.powers)
         b = self.beta
-        pref = (-1.0) ** round(self.nu) * gamma_fn(b) / math.prod(
-            gamma_fn(p) for p in self.powers)
+        pref = (-1.0) ** round(self.nu) * math.gamma(b) / math.prod(
+            math.gamma(p) for p in self.powers)
         self.tail_coeffs = np.array([
             pref * s0,
             -pref * b * s1,
@@ -416,7 +420,6 @@ class _ShiftedFamily:
     def tail_integral(self, k: float, j: int):
         """Closed form of int_X^inf x**(k-1) log(x)**j * asymptotic(x) dx and
         an estimate of its truncation error."""
-        from scipy.special import gammaincc
         X = self.x_switch
         L = math.log(X)
         total = 0.0
@@ -424,7 +427,7 @@ class _ShiftedFamily:
             p = self.beta + m - k
             if p <= 0:
                 raise DivergentIntegral("tail exponent not integrable")
-            total += c * p ** (-(j + 1.0)) * gamma_fn(j + 1.0) * gammaincc(j + 1, p * L)
+            total += c * p ** (-(j + 1.0)) * _upper_gamma(j, p * L)
         trunc = abs(self.tail_coeffs[2]) * X ** (k - self.beta - 2.0) \
             * (3.0 * self.mean_form / X) * (L ** j + 1.0)
         return total, trunc
@@ -474,7 +477,7 @@ def raise_dimension(config: KinematicConfig,
     val, err, ok, _ = adaptive_batch(integrand, 0.0, w_max, settings.rel_tol,
                                      settings.abs_tol, settings.max_subdivisions)
     tail, trunc = family.tail_integral(alpha, 0)
-    pref = 1.0 / gamma_fn(alpha)
+    pref = 1.0 / math.gamma(alpha)
     value = pref * (complex(val) + tail)
     error = abs(pref) * (float(err) + trunc) + 10.0 * inner_settings.rel_tol * abs(value)
     return IntegralValue(value=value, abs_error=error, method=METHOD_QUADRATURE,
@@ -492,7 +495,7 @@ def lower_dimension(config: KinematicConfig,
     _require_unit_powers(config, "lower_dimension")
     q = 0.5 * (nu - n)
     shift = ShiftedSigma(build_sigma(config).entries[None], ShiftKind.ALL_MASSES_MINUS_S)
-    return _one_shift(shift, q + 1.0, gamma_fn(q + 1.0), settings)
+    return _one_shift(shift, q + 1.0, math.gamma(q + 1.0), settings)
 
 
 # ---------------------------------------------------------------------------
@@ -516,10 +519,10 @@ def _power_shift(sigmas: np.ndarray, legs: tuple[int, ...], power: int):
     shift k2 -> k2 + 4s, n = N - 2 + 2 nu_k), all other powers 1."""
     if len(legs) == 1:
         shift = ShiftedSigma(sigmas, ShiftKind.SINGLE_DIAGONAL_MINUS_S, legs=legs)
-        pref = (-1.0) ** (power - 1) * gamma_fn(0.5 * (power + 1.0)) / gamma_fn(power)
+        pref = (-1.0) ** (power - 1) * math.gamma(0.5 * (power + 1.0)) / math.gamma(power)
         return shift, 0.5 * (power + 1.0), pref
     shift = ShiftedSigma(sigmas, ShiftKind.SINGLE_OFFDIAGONAL_INVARIANT_PLUS_4S, legs=legs)
-    return shift, float(power), 4.0 ** (1.0 - power) / gamma_fn(power)
+    return shift, float(power), 4.0 ** (1.0 - power) / math.gamma(power)
 
 
 def _power_contour(sigmas: np.ndarray, legs: tuple[int, ...], power: int,
@@ -669,17 +672,42 @@ class EpsSeries:
         return sum(c.value * eps ** m for m, c in enumerate(self.coefficients))
 
 
+# Bernoulli numbers B_2, B_4, ..., B_20.
+_BERNOULLI_EVEN = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+                   -3617 / 510, 43867 / 798, -174611 / 330)
+
+
+def _polygamma(m: int, x: float) -> float:
+    """psi^(m)(x), the m-th derivative of the digamma function, for real
+    x > 0.  The recurrence psi^(m)(x) = psi^(m)(x + 1) + (-1)**(m+1) m!/x**(m+1)
+    lifts x to at least 12, where the Bernoulli asymptotic series
+    (terms through B_20) is accurate to double precision for m <= 4."""
+    sign = -1.0 if m % 2 == 0 else 1.0
+    fact = math.factorial(m)
+    shift = 0.0
+    while x < 12.0:
+        shift += sign * fact / x ** (m + 1)
+        x += 1.0
+    head = math.log(x) if m == 0 else sign * math.factorial(m - 1) / x ** m
+    series = 0.5 * fact / x ** (m + 1)
+    for i, b in enumerate(_BERNOULLI_EVEN, start=1):
+        series += b * math.prod(range(2 * i, 2 * i + m)) / (2 * i) / x ** (2 * i + m)
+    return shift + head + sign * series
+
+
 def inv_gamma_series(k: float, order: int) -> np.ndarray:
-    """Taylor coefficients of 1/Gamma(k - eps) in eps, up to ``order``."""
+    """Taylor coefficients of 1/Gamma(k - eps) in eps, up to ``order``;
+    ``k`` must be positive."""
+    if k <= 0:
+        raise ValidationError(f"inv_gamma_series needs k > 0, got k={k}")
     logc = np.zeros(order + 1)
     for j in range(1, order + 1):
-        pg = digamma(k) if j == 1 else polygamma(j - 1, k)
-        logc[j] = (-1.0) ** (j + 1) * pg / math.factorial(j)
+        logc[j] = (-1.0) ** (j + 1) * _polygamma(j - 1, k) / math.factorial(j)
     out = np.zeros(order + 1)
     out[0] = 1.0
     for m in range(1, order + 1):
         out[m] = sum(j * logc[j] * out[m - j] for j in range(1, m + 1)) / m
-    return out / gamma_fn(k)
+    return out / math.gamma(k)
 
 
 def eps_expand(config: KinematicConfig, order: int = 2, k: float | None = None,
@@ -823,7 +851,7 @@ def evaluate_any_dimension(config: KinematicConfig,
 def _jbar_factor(nu: float, n: float) -> float:
     """Multiplying J by this gives the rescaled function the recurrences act
     on; diverges at 2*nu = n, which the checks must avoid."""
-    return 2.0 ** (nu - 0.5 * n - 1.0) * gamma_fn(nu) * (-1.0) ** nu / gamma_fn(2.0 * nu - n)
+    return 2.0 ** (nu - 0.5 * n - 1.0) * math.gamma(nu) * (-1.0) ** nu / math.gamma(2.0 * nu - n)
 
 
 def recurrence_check_lower(config: KinematicConfig,
@@ -832,6 +860,8 @@ def recurrence_check_lower(config: KinematicConfig,
     (n, nu) against the half-line integral of the (N-1)-point value at
     n - 2*nu_N with the last leg folded into the others."""
     N = config.n_legs
+    if N < 2:
+        raise ValidationError("recurrence_check_lower needs at least two legs")
     n = config.dimension
     nu = config.nu_total
     nu_last = config.powers[-1]
@@ -839,7 +869,7 @@ def recurrence_check_lower(config: KinematicConfig,
     lhs = evaluate_any_dimension(config, settings).value
     c_out = _jbar_factor(nu, n)
     c_in = _jbar_factor(nu - nu_last, n - 2.0 * nu_last)
-    beta = gamma_fn(nu - nu_last) * gamma_fn(nu_last) / gamma_fn(nu)
+    beta = math.gamma(nu - nu_last) * math.gamma(nu_last) / math.gamma(nu)
     inner_dim = n - 2.0 * nu_last
     inner_settings = settings.tighter(0.1)
     sub = sigma[:-1, :-1]
@@ -889,7 +919,7 @@ def recurrence_check_merge(config: KinematicConfig,
     p_b = config.powers[-1]
     merged_powers = tuple(config.powers[:-2]) + (p_a + p_b,)
     lhs = evaluate_any_dimension(config, settings).value
-    beta = gamma_fn(p_a) * gamma_fn(p_b) / gamma_fn(p_a + p_b)
+    beta = math.gamma(p_a) * math.gamma(p_b) / math.gamma(p_a + p_b)
     inner_settings = settings.tighter(0.1)
 
     def merged_sigma(u):

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
-from scipy.special import gammaln, roots_jacobi
 
 from .errors import DivergentIntegral, InconsistentMomenta, ValidationError
 from .kinematics import KinematicConfig, build_sigma
@@ -82,12 +80,12 @@ def feynman_oracle(config: KinematicConfig, settings: MCSettings = DEFAULT_MC,
     expo = 0.5 * n - nu
 
     if N == 1:
-        value = sign * gamma_fn(nu - 0.5 * n) / gamma_fn(nu) * sigma[0, 0] ** expo
+        value = sign * math.gamma(nu - 0.5 * n) / math.gamma(nu) * sigma[0, 0] ** expo
         return IntegralValue(value=complex(value), abs_error=abs(value) * 1e-15,
                              method=METHOD_QUADRATURE)
 
     if N == 2:
-        pref = sign * gamma_fn(nu - 0.5 * n) / math.prod(gamma_fn(p) for p in config.powers)
+        pref = sign * math.gamma(nu - 0.5 * n) / math.prod(math.gamma(p) for p in config.powers)
 
         def f(u):
             w = np.ones_like(u)
@@ -104,7 +102,7 @@ def feynman_oracle(config: KinematicConfig, settings: MCSettings = DEFAULT_MC,
                              method=METHOD_QUADRATURE, converged=bool(ok))
 
     if N == 3:
-        pref = sign * gamma_fn(nu - 0.5 * n) / math.prod(gamma_fn(p) for p in config.powers)
+        pref = sign * math.gamma(nu - 0.5 * n) / math.prod(math.gamma(p) for p in config.powers)
         p1, p2, p3 = config.powers
         inner_quad = (quad.rel_tol * 0.1, quad.abs_tol * 0.1, quad.max_subdivisions)
 
@@ -133,7 +131,7 @@ def feynman_oracle(config: KinematicConfig, settings: MCSettings = DEFAULT_MC,
                              method=METHOD_QUADRATURE, converged=bool(ok))
 
     # Monte Carlo with Dirichlet(nu) importance sampling.
-    log_pref = gammaln(nu - 0.5 * n) - gammaln(nu)
+    log_pref = math.lgamma(nu - 0.5 * n) - math.lgamma(nu)
     pref = sign * math.exp(log_pref)
     alphas = np.asarray(config.powers, dtype=float)
     total = 0.0
@@ -182,7 +180,7 @@ def truncated_moment_mc(config: KinematicConfig, settings: MCSettings = DEFAULT_
     det_sigma = float(np.linalg.det(sigma))
     pref = ((-1.0) ** nu * (2.0 * math.pi) ** (0.5 * N)
             / (math.sqrt(det_sigma) * 2.0 ** (nu - 0.5 * n - 1.0)
-               * math.prod(gamma_fn(p) for p in config.powers)))
+               * math.prod(math.gamma(p) for p in config.powers)))
     powers = np.asarray(config.powers)
     expo = nu - n
     flags = []
@@ -236,6 +234,9 @@ def lauricella_expectation_mc(config: KinematicConfig, settings: MCSettings = DE
     if not (nu < n and a > 0):
         raise DivergentIntegral(
             f"hypergeometric route needs nu < n < 2*nu, got nu={nu}, n={n}")
+    # imported here so that importing the package does not load scipy
+    from scipy.special import roots_jacobi
+
     sigma = build_sigma(config).entries
     L = cholesky(sigma)
     # Gauss-Jacobi on [-1,1] with weight (1-x)^alpha (1+x)^beta;
@@ -243,10 +244,10 @@ def lauricella_expectation_mc(config: KinematicConfig, settings: MCSettings = DE
     x, w = roots_jacobi(t_nodes, c - a - 1.0, a - 1.0)
     t = 0.5 * (1.0 + x)
     jacobi_scale = 2.0 ** (1.0 - c)
-    fd_pref = gamma_fn(c) / (gamma_fn(a) * gamma_fn(c - a))
+    fd_pref = math.gamma(c) / (math.gamma(a) * math.gamma(c - a))
     powers = np.asarray(config.powers, dtype=float)
     pref = ((-1.0) ** nu / 2.0 ** (nu - 0.5 * n - 1.0)
-            * gamma_fn(2.0 * nu - n) / gamma_fn(nu))
+            * math.gamma(2.0 * nu - n) / math.gamma(nu))
     total = 0.0 + 0.0j
     total_sq = 0.0
     count = 0

@@ -1,6 +1,10 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,3 +231,13 @@ def test_override_flag(tmp_path):
     assert float(rec["value_re"]) == pytest.approx(0.5, rel=1e-10)
     code = run(["compute", "--config", path, "--set", "bogus=1"], io.StringIO())
     assert code == EXIT_PARSE
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported only inside the oracle routine that needs it
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import orthantloop.cli, sys; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -195,6 +195,88 @@ def test_inv_gamma_series_values():
     assert series == pytest.approx(target, abs=1e-12)
 
 
+@pytest.mark.parametrize("k", [0.5, 1.0, 1.5, 2.0, 2.5, 3.7, 7.0])
+def test_inv_gamma_series_matches_scipy(k):
+    from scipy.special import digamma, gamma as gamma_fn, polygamma
+
+    order = 4
+    logc = [0.0] + [(-1.0) ** (j + 1) * (digamma(k) if j == 1 else polygamma(j - 1, k))
+                    / math.factorial(j) for j in range(1, order + 1)]
+    ref = [1.0]
+    for m in range(1, order + 1):
+        ref.append(sum(j * logc[j] * ref[m - j] for j in range(1, m + 1)) / m)
+    ref = np.array(ref) / gamma_fn(k)
+    np.testing.assert_allclose(inv_gamma_series(k, order), ref, rtol=1e-13, atol=0.0)
+
+
+def test_closed_form_tail_matches_scipy():
+    from scipy.special import gamma as gamma_fn, gammaincc
+
+    from orthantloop.dimshift import _upper_gamma
+
+    for j in range(5):
+        for x in np.geomspace(0.1, 80.0, 41):
+            ref = gamma_fn(j + 1.0) * gammaincc(j + 1, x)
+            assert _upper_gamma(j, x) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def _form_moments_loop(sigma, powers):
+    """Reference: one Dirichlet moment per index pair and quartet."""
+    def moment(extra):
+        num = math.prod(math.gamma(p + e) for p, e in zip(powers, extra))
+        return num / math.gamma(sum(powers) + sum(extra))
+
+    N = len(powers)
+    s0 = moment((0,) * N)
+    s1 = 0.0
+    for i in range(N):
+        for j in range(N):
+            e = [0] * N
+            e[i] += 1
+            e[j] += 1
+            s1 += sigma[i, j] * moment(e)
+    s2 = 0.0
+    for i in range(N):
+        for j in range(N):
+            for k_ in range(N):
+                for l in range(N):
+                    e = [0] * N
+                    for idx in (i, j, k_, l):
+                        e[idx] += 1
+                    s2 += sigma[i, j] * sigma[k_, l] * moment(e)
+    return s0, s1, s2
+
+
+@pytest.mark.parametrize("N", range(2, 8))
+def test_form_moments_match_loop(N):
+    from orthantloop.dimshift import _form_moments
+
+    rng = np.random.default_rng(700 + N)
+    for _ in range(3):
+        powers = tuple(int(p) for p in rng.integers(1, 4, size=N))
+        sigma = build_sigma(random_interior_config(rng, N)).entries
+        got = _form_moments(sigma, powers)
+        for a, b in zip(got, _form_moments_loop(sigma, powers)):
+            assert a == pytest.approx(b, rel=1e-13, abs=0.0)
+
+
+def test_gamma_poles_stay_typed_refusals():
+    # math.gamma raises ValueError at its poles; every route must refuse
+    # such arguments with a typed error before reaching it
+    cfg = random_interior_config(np.random.default_rng(0), 3, n=6)
+    assert 2 * cfg.nu_total == cfg.dimension
+    with pytest.raises(DivergentIntegral):
+        recurrence_check_lower(cfg, FAST)
+    for n in (6.0, 7.0, 8.0):
+        with pytest.raises(DivergentIntegral):
+            feynman_oracle(cfg.with_dimension(n))
+    with pytest.raises(ValidationError):
+        recurrence_check_lower(random_interior_config(np.random.default_rng(0), 1, n=1))
+    for k in (0.0, -1.0):
+        with pytest.raises(ValidationError):
+            inv_gamma_series(k, 2)
+
+
 def test_eps_expand_matches_raise(rng):
     base = random_interior_config(rng, 5)
     cfg = KinematicConfig.from_d_epsilon(base.masses, np.array(base.invariants),
